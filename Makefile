@@ -17,11 +17,13 @@ fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --seed 0 --ops 4000 --dims 2,6,14
 
 # Durable-store battery: the store unit suite (incl. the torn-WAL corpus
-# and the 100+-point crash-offset sweep), a durable differential fuzz
-# leg, and the seeded kill-during-flush drills (the CI durability-smoke job).
+# and the 100+-point crash-offset sweep), durable differential fuzz legs
+# with and without learned trailers, and the seeded kill-during-flush/
+# compaction drills (the CI durability-smoke job).
 durable-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/store -q
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --durable --learned --seed 0 --ops 1500 --dims 2,6
+	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --durable --seed 0 --ops 1500 --dims 2,6
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fault-kinds disk-flush-kill,disk-compact-kill,disk-torn-wal
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --faults
 

@@ -23,9 +23,10 @@ O(depth) navigation.
 
 ``freeze(..., learned=True)`` appends an *optional trailer* after the
 node stream: a :class:`repro.learned.index.LearnedZIndex` mapping
-z-address -> entry rank / value-bit offset, fit in one pass over the
-just-frozen stream.  The trailer starts at the first 8-byte boundary
-past ``nbytes`` and is self-describing (magic ``PHL1``), so readers
+z-address -> entry rank / value-bit offset, fit from the two columns
+(z-code, value bit offset) the writers collect as they emit each
+entry.  The trailer starts at the first 8-byte boundary past
+``nbytes`` and is self-describing (magic ``PHL1``), so readers
 that predate it -- and buffers without it -- are unaffected, and
 :class:`FrozenPHTree` attaches it zero-copy when present.  Model-served
 reads fall back to the exact descent whenever the measured error bound
@@ -35,15 +36,13 @@ is violated; see :mod:`repro.learned.index` for the contract.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
 from repro.core.phtree import PHTree
 from repro.core.serialize import NoneValueCodec
-from repro.core.specialize import get_spec
+from repro.core.specialize import z_functions
 from repro.encoding.bitbuffer import BitBuffer, BitReader
-from repro.encoding.interleave import deinterleave as _deinterleave
-from repro.encoding.interleave import interleave as _interleave
 from repro.learned.index import (
     ABSENT,
     DEFAULT_EPS,
@@ -94,11 +93,24 @@ def freeze(
             f"the frozen format stores post_len in 8 bits; "
             f"width {tree.width} > 256 is not representable"
         )
+    # With ``learned`` the writers collect the trailer's two columns as
+    # they emit each entry: its z-code and its value field's bit offset.
+    cols: "Optional[Tuple[List[int], List[int]]]" = (
+        ([], []) if learned and len(tree) else None
+    )
+    z_of = z_functions(tree.dims, tree.width)[0]
     arena = getattr(tree, "_arena", None)
     if arena is not None:
         if tree._root_off:
             data, nbits = _freeze_subtree_arena(
-                arena, tree._root_off, tree.width, tree.dims, value_codec
+                arena,
+                tree._root_off,
+                tree.width,
+                tree.dims,
+                value_codec,
+                0,
+                cols,
+                z_of,
             )
             buf = BitBuffer(data, nbits)
         else:
@@ -108,28 +120,16 @@ def freeze(
     else:
         buf = BitBuffer()
         if tree.root is not None:
-            _write_node(buf, tree.root, tree.width, tree.dims, value_codec)
+            _write_node(
+                buf, tree.root, tree.width, tree.dims, value_codec, cols, z_of
+            )
     header = _MAGIC + struct.pack(
         ">HHQQ", tree.dims, tree.width, len(tree), buf.bit_length
     )
     blob = header + buf.to_bytes()
-    if not learned or len(tree) == 0:
+    if cols is None:
         return blob
-    frozen = FrozenPHTree(blob, value_codec, learned=False)
-    spec = get_spec(tree.dims, tree.width)
-    if spec is not None:
-        z_of = spec.interleave
-    else:
-        width = tree.width
-
-        def z_of(key: Tuple[int, ...]) -> int:
-            return _interleave(key, width)
-
-    zcodes: List[int] = []
-    valpos: List[int] = []
-    for key, vpos in frozen._iter_entry_positions():
-        zcodes.append(z_of(key))
-        valpos.append(vpos)
+    zcodes, valpos = cols
     model = LearnedZIndex.fit(
         zcodes, valpos, tree.dims * tree.width, eps=eps, window_cap=window_cap
     )
@@ -143,7 +143,12 @@ def _write_node(
     parent_post_len: int,
     k: int,
     value_codec: Any,
+    cols: "Optional[Tuple[List[int], List[int]]]",
+    z_of: Callable[[Tuple[int, ...]], int],
 ) -> None:
+    """Append ``node``'s frozen body to ``buf``; with ``cols`` also
+    append each entry's z-code and value bit offset (``buf`` holds the
+    whole stream, so its length is the absolute offset)."""
     buf.append(node.post_len, 8)
     infix_len = parent_post_len - 1 - node.post_len
     if infix_len:
@@ -162,13 +167,16 @@ def _write_node(
             length_pos = buf.bit_length
             buf.append(0, _LEN_BITS)
             start = buf.bit_length
-            _write_node(buf, slot, node.post_len, k, value_codec)
+            _write_node(buf, slot, node.post_len, k, value_codec, cols, z_of)
             buf.overwrite(length_pos, buf.bit_length - start, _LEN_BITS)
         else:
             buf.append(0, 1)
             if post_bits:
                 for value in slot.key:
                     buf.append(value & post_mask, post_bits)
+            if cols is not None:
+                cols[0].append(z_of(slot.key))
+                cols[1].append(buf.bit_length)
             buf.append(value_codec.encode(slot.value), value_codec.bits)
 
 
@@ -178,6 +186,9 @@ def _freeze_subtree_arena(
     parent_post_len: int,
     k: int,
     value_codec: Any,
+    stream_pos: int,
+    cols: "Optional[Tuple[List[int], List[int]]]",
+    z_of: Callable[[Tuple[int, ...]], int],
 ) -> Tuple[int, int]:
     """The slab twin of :func:`_write_node`: build the frozen body of
     the node record at ``off`` (and its subtree) straight from the
@@ -189,6 +200,11 @@ def _freeze_subtree_arena(
     times as subtree integers combine, instead of the O(stream) cost a
     ``BitBuffer.append`` per field would pay.  The bit stream is
     identical to the object walk's.
+
+    ``stream_pos`` is the absolute bit offset at which this body will
+    sit in the stream, so the trailer columns (``cols``: z-codes and
+    value bit offsets, appended in stream order) come out of the same
+    pass.
     """
     words = arena.words
     entries = arena.entries
@@ -224,7 +240,14 @@ def _freeze_subtree_arena(
     for address, ref in pairs:
         if ref & 1:
             cdata, cbits = _freeze_subtree_arena(
-                arena, ref >> 1, post_len, k, value_codec
+                arena,
+                ref >> 1,
+                post_len,
+                k,
+                value_codec,
+                stream_pos + bits + k + 1 + _LEN_BITS,
+                cols,
+                z_of,
             )
             # [address: k] [type: 1] [body length: 32] body
             acc = (
@@ -240,6 +263,9 @@ def _freeze_subtree_arena(
                 for d in range(e, e + k):
                     acc = (acc << post_len) | (entries[d] & post_mask)
                 bits += post_len * k
+            if cols is not None:
+                cols[0].append(z_of(tuple(entries[e : e + k])))
+                cols[1].append(stream_pos + bits)
             value = encode(values[entries[e + k]])
             if value >> vbits:
                 raise ValueError(
@@ -301,7 +327,8 @@ class FrozenPHTree:
         self._nbytes = offset + (bit_length + 7) // 8
         if len(data) < self._nbytes:
             raise ValueError("truncated frozen PH-tree node stream")
-        self._reader = BitReader(data[offset:], bit_length)
+        self._stream = data[offset:]
+        self._reader = BitReader(self._stream, bit_length)
         self._codec = value_codec
         # A learned trailer, if one follows the stream (zero-copy; the
         # memoryview keeps the caller's buffer alive).  Shared-memory
@@ -331,16 +358,7 @@ class FrozenPHTree:
         first model-served read so plain attaches stay O(1)."""
         fns = self._zfns
         if fns is None:
-            spec = get_spec(self._dims, self._width)
-            if spec is not None:
-                fns = (spec.interleave, spec.deinterleave)
-            else:
-                k, width = self._dims, self._width
-                fns = (
-                    lambda key: _interleave(key, width),
-                    lambda code: _deinterleave(code, k, width),
-                )
-            self._zfns = fns
+            fns = self._zfns = z_functions(self._dims, self._width)
         return fns
 
     # -- basics --------------------------------------------------------------
@@ -367,6 +385,33 @@ class FrozenPHTree:
     def memory_bytes(self) -> int:
         """Exactly the frozen stream's length -- the point of freezing."""
         return self._nbytes
+
+    @property
+    def stream_bits(self) -> int:
+        """Bit length of the node stream (header excluded): the range
+        every value bit offset must fall in."""
+        return self._reader.bit_length
+
+    def values_at(self, positions: Sequence[int]) -> List[Any]:
+        """Decode the value fields that start at ``positions`` (bit
+        offsets into the node stream, e.g. a trailer's value-position
+        column) -- a bulk read with no descent.  Offsets are trusted:
+        callers check them against :attr:`stream_bits` first."""
+        decode = self._codec.decode
+        bits = self._codec.bits
+        if not bits:
+            return [decode(0)] * len(positions)
+        data = self._stream
+        from_bytes = int.from_bytes
+        mask = (1 << bits) - 1
+        return [
+            decode(
+                (from_bytes(data[p >> 3 : (p + bits + 7) >> 3], "big")
+                 >> (-(p + bits) & 7))
+                & mask
+            )
+            for p in positions
+        ]
 
     # -- node parsing ----------------------------------------------------------
 
@@ -786,56 +831,6 @@ class FrozenPHTree:
         for key, value in self.items():
             tree.put(key, value)
         return tree
-
-    # -- learned-trailer support --------------------------------------------------
-
-    def _iter_entry_positions(
-        self,
-    ) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """Yield ``(key, value_bit_pos)`` for every entry in z-order --
-        the one-pass scan the learned trailer is fit from."""
-        if self._size == 0:
-            return
-        yield from self._walk_positions(
-            0, self._width, (0,) * self._dims, 0
-        )
-
-    def _walk_positions(
-        self,
-        pos: int,
-        parent_post_len: int,
-        parent_prefix: Tuple[int, ...],
-        parent_address: int,
-    ) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        reader = self._reader
-        k = self._dims
-        value_bits = self._codec.bits
-        post_len, prefix, n_slots, pos = self._parse_header(
-            pos, parent_post_len, parent_prefix, parent_address
-        )
-        for _ in range(n_slots):
-            address = reader.read(pos, k)
-            pos += k
-            is_sub = reader.read(pos, 1)
-            pos += 1
-            if is_sub:
-                body = reader.read(pos, _LEN_BITS)
-                pos += _LEN_BITS
-                yield from self._walk_positions(
-                    pos, post_len, prefix, address
-                )
-                pos += body
-            else:
-                key = []
-                for dim in range(k):
-                    postfix = (
-                        reader.read(pos, post_len) if post_len else 0
-                    )
-                    pos += post_len
-                    bit = (address >> (k - 1 - dim)) & 1
-                    key.append(prefix[dim] | (bit << post_len) | postfix)
-                yield tuple(key), pos
-                pos += value_bits
 
 
 def _point_dist_sq(

@@ -60,10 +60,18 @@ import threading
 from bisect import bisect_left
 from struct import Struct
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.node import Entry, Node
-from repro.encoding.lut import compact_plan, spread_plan, spread_table
+from repro.encoding.interleave import deinterleave as _deinterleave
+from repro.encoding.interleave import interleave as _interleave
+from repro.encoding.lut import (
+    ROW_TABLE_BITS,
+    compact_plan,
+    row_table,
+    spread_plan,
+    spread_table,
+)
 from repro.obs import probes as _probes
 
 __all__ = [
@@ -74,6 +82,7 @@ __all__ = [
     "registry_cap",
     "registry_size",
     "set_registry_cap",
+    "z_functions",
 ]
 
 #: Beyond this dimensionality the unrolled code would outgrow its
@@ -307,6 +316,30 @@ def zkey(key):
 def _emit_deinterleave_body(k: int, width: int) -> str:
     if k == 1:
         return "    return (code,)\n"
+    rows = ROW_TABLE_BITS // k
+    if rows:
+        # Whole rows per lookup (lut.row_table): the chunks OR into one
+        # accumulator holding each dimension in a width-bit field.
+        chunk = k * rows
+        mask = (1 << chunk) - 1
+        terms = []
+        for j in range(-(-width // rows)):
+            src = "code" if j == 0 else f"(code >> {j * chunk})"
+            term = f"_rt[{src} & {mask}]"
+            if j:
+                term += f" << {j * rows}"
+            terms.append(term)
+        wmask = (1 << width) - 1
+        fields = [f"acc >> {(k - 1) * width}"]
+        for d in range(1, k - 1):
+            fields.append(f"(acc >> {(k - 1 - d) * width}) & {wmask}")
+        fields.append(f"acc & {wmask}")
+        return (
+            "    acc = " + " | ".join(terms) + "\n"
+            f"    return ({', '.join(fields)})\n"
+        )
+    # k > 12: a row table would exceed 4,096 entries; byte steps per
+    # dimension instead.
     lines = []
     for d in range(k):
         shift = k - 1 - d
@@ -326,8 +359,6 @@ def _emit_deinterleave_body(k: int, width: int) -> str:
             terms.append(term)
         lines.append(f"    v{d} = " + " | ".join(terms))
     tup = ", ".join(f"v{d}" for d in range(k))
-    if k == 1:
-        tup += ","
     lines.append(f"    return ({tup})")
     return "\n".join(lines) + "\n"
 
@@ -1639,8 +1670,11 @@ class Specialization:
             # matches the array('Q') item layout exactly.
             "_ukey": Struct(f"={k}Q").unpack_from,
         }
-        for j, (_in, table, _out) in enumerate(compact_plan(k, width)):
-            namespace[f"_ct{j}"] = table
+        if ROW_TABLE_BITS // k:
+            namespace["_rt"] = row_table(k, width)
+        else:
+            for j, (_in, table, _out) in enumerate(compact_plan(k, width)):
+                namespace[f"_ct{j}"] = table
         code = compile(source, f"<specialize k={k} width={width}>", "exec")
         exec(code, namespace)
         self.check_key = namespace["check_key"]
@@ -1725,6 +1759,21 @@ def get_spec(k: int, width: int) -> Optional[Specialization]:
         while len(_REGISTRY) > _CAP:
             _REGISTRY.popitem(last=False)
     return built
+
+
+def z_functions(
+    k: int, width: int
+) -> Tuple[Callable[[Tuple[int, ...]], int], Callable[[int], Tuple[int, ...]]]:
+    """``(interleave, deinterleave)`` for ``(k, width)`` keys: the
+    generated kernels when the shape is specializable, the generic LUT
+    paths of :mod:`repro.encoding.interleave` otherwise."""
+    spec = get_spec(k, width)
+    if spec is not None:
+        return spec.interleave, spec.deinterleave
+    return (
+        lambda key: _interleave(key, width),
+        lambda code: _deinterleave(code, k, width),
+    )
 
 
 def registry_size() -> int:

@@ -27,6 +27,12 @@ table lookup per *byte* (8x fewer iterations), shared process-wide:
 a fixed ``(k, width)`` into tuples of ``(in_shift, table, out_shift)``
 steps, which is the form the per-(k, width) specializations of
 :mod:`repro.core.specialize` unroll into straight-line code.
+
+De-interleaving one dimension per byte step costs ``k`` lookups per
+byte of code.  :func:`row_table` instead decodes whole *rows* (one bit
+of every dimension) per lookup: with ``r = 12 // k`` rows per 12-bit
+index, a ``width``-bit shape needs ``ceil(width / r)`` lookups for all
+``k`` dimensions together (5 instead of 24 at 3x20).
 """
 
 from __future__ import annotations
@@ -35,11 +41,17 @@ from functools import lru_cache
 from typing import Tuple
 
 __all__ = [
+    "ROW_TABLE_BITS",
     "compact_plan",
     "compact_table",
+    "row_table",
     "spread_plan",
     "spread_table",
 ]
+
+#: Index width of a :func:`row_table`: a lookup decodes
+#: ``ROW_TABLE_BITS // k`` whole rows, so tables stay at 4,096 entries.
+ROW_TABLE_BITS = 12
 
 
 @lru_cache(maxsize=128)
@@ -131,3 +143,31 @@ def compact_plan(
             continue
         steps.append((8 * i, compact_table(k, phase), (8 * i + phase) // k))
     return tuple(steps)
+
+
+@lru_cache(maxsize=64)
+def row_table(k: int, width: int) -> Tuple[int, ...]:
+    """Lookup table de-interleaving ``r = ROW_TABLE_BITS // k`` rows of a
+    stride-``k`` code at once.
+
+    ``table[c]`` takes the ``k * r``-bit chunk ``c`` (row ``i`` in bits
+    ``[i*k, i*k + k)``, dimension 0 the highest bit of each row) and
+    puts dimension ``d``'s ``r`` bits at ``(k - 1 - d) * width`` upward,
+    so OR-ing ``table[chunk_j] << (j * r)`` over a code's chunks leaves
+    every dimension in its own ``width``-bit field.
+
+    >>> bin(row_table(2, 4)[0b11_10])  # rows 0b10, 0b11 -> (0b11, 0b10)
+    '0b110010'
+    """
+    rows = ROW_TABLE_BITS // k
+    if rows < 1:
+        raise ValueError(f"k={k} rows do not fit a {ROW_TABLE_BITS}-bit index")
+    full = (1 << k) - 1
+    row = [
+        sum(((a >> j) & 1) << (j * width) for j in range(k))
+        for a in range(full + 1)
+    ]
+    table = list(row)
+    for c in range(full + 1, 1 << (k * rows)):
+        table.append((table[c >> k] << 1) | row[c & full])
+    return tuple(table)

@@ -264,6 +264,14 @@ class LearnedZIndex:
         stream."""
         return self._valpos[i]
 
+    def columns(self) -> Tuple[List[int], List[int]]:
+        """Copies of the ``(zcodes, valpos)`` columns as plain lists --
+        one C-level conversion per column for attached trailers."""
+        return (
+            _column(self._z, self.zwords),
+            _column(self._valpos, 1),
+        )
+
     def _segment_of(self, z: int) -> int:
         """Rightmost segment whose first z-code is <= z (may be -1)."""
         return bisect_right(self._segz, z) - 1
@@ -390,6 +398,20 @@ class _MultiWordView(Sequence):
         for w in range(base, base + zw):
             acc = (acc << 64) | words[w]
         return acc
+
+
+def _column(seq: Any, zwords: int) -> List[int]:
+    """``seq`` (a list, a ``memoryview`` cast or a
+    :class:`_MultiWordView`) as a list of ints."""
+    if type(seq) is _MultiWordView:
+        words = _column(seq._words, 1)
+        out = words[0::zwords]
+        for w in range(1, zwords):
+            out = [(hi << 64) | lo for hi, lo in zip(out, words[w::zwords])]
+        return out
+    if isinstance(seq, memoryview):
+        return seq.tolist()
+    return list(seq)
 
 
 def _pack_words(values: Sequence[int], zwords: int) -> "array":

@@ -12,14 +12,16 @@ Architecture (DESIGN.md §14):
   stream, ``PHL1`` learned trailer included for learned stores), plus
   one tombstone batch for pending deletes, rotates the WAL, and commits
   everything with one atomic manifest swap;
-- :meth:`compact` merges the whole segment chain into one segment per
-  shard via the bottom-up sorted bulk loader, erasing tombstones and
-  shadowed versions; :meth:`checkpoint` short-cuts both by snapshotting
-  the live shards directly (:meth:`ShardedPHTree.freeze_shards`);
+- :meth:`checkpoint` snapshots the live shards directly
+  (:meth:`ShardedPHTree.freeze_shards`) as a fresh one-segment-per-shard
+  chain; :meth:`compact` flushes and then takes the same snapshot,
+  because after a flush the live tree *is* the merged chain;
 - :meth:`open` recovers: verify the manifest, mmap-attach its segments
-  zero-copy, repair the WAL's torn tail, replay records newer than the
-  manifest's ``wal_seq`` onto the segment contents, bulk-build the live
-  tree, and garbage-collect orphan files from crashed flushes.
+  zero-copy, repair the WAL's torn tail, read each segment as a z-sorted
+  run (from its ``PHL1`` z-column when it has one), merge each shard's
+  runs with the newer segments and the WAL tail by z-code, bulk-load
+  every shard from its merged run, and garbage-collect orphan files
+  from crashed flushes.
 
 Durability contract: an operation is durable once its WAL append
 returns (fsync'd); a flush/compaction is durable exactly at its
@@ -33,12 +35,15 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
+from itertools import islice
+from operator import lt
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bulk import bulk_load_sorted
 from repro.core.frozen import freeze
 from repro.core.serialize import NoneValueCodec, U64ValueCodec
-from repro.encoding.interleave import interleave
+from repro.core.specialize import z_functions
 from repro.obs import probes as _probes
 from repro.obs import recorder as _recorder
 from repro.obs import runtime as _rt
@@ -65,6 +70,9 @@ from repro.store.wal import OP_DEL, OP_PUT, OP_UPD
 __all__ = ["DurablePHTree", "StoreError"]
 
 Key = Tuple[int, ...]
+_Item = Tuple[Key, Any]
+#: A z-sorted run: ascending z-codes and the aligned ``(key, value)``s.
+_Run = Tuple[List[int], List[_Item]]
 
 _MISSING = object()
 
@@ -74,11 +82,43 @@ _CODEC_NAMES = {NoneValueCodec: "none", U64ValueCodec: "u64"}
 
 class StoreError(RuntimeError):
     """A durable-store protocol violation (bad directory, geometry
-    mismatch, use-after-close)."""
+    mismatch, use-after-close, a segment failing recovery's checks)."""
 
 
 def _wal_name(generation: int) -> str:
     return f"wal-{generation:08d}.log"
+
+
+def _strictly_ascending(values: List[int]) -> bool:
+    return all(map(lt, values, islice(values, 1, None)))
+
+
+def _merge_run(
+    run: Optional[_Run],
+    changed: List[int],
+    delta: Dict[int, Optional[_Item]],
+) -> _Run:
+    """Apply ``delta`` at the ascending z-codes ``changed`` to ``run``:
+    a ``(key, value)`` replaces or inserts, ``None`` deletes.  Unchanged
+    stretches of the run are copied a slice at a time."""
+    zs, items = run if run is not None else ([], [])
+    n = len(zs)
+    out_zs: List[int] = []
+    out_items: List[_Item] = []
+    prev = 0
+    for z in changed:
+        i = bisect_left(zs, z, prev)
+        if i > prev:
+            out_zs += zs[prev:i]
+            out_items += items[prev:i]
+        prev = i + 1 if i < n and zs[i] == z else i
+        item = delta[z]
+        if item is not None:
+            out_zs.append(z)
+            out_items.append(item)
+    out_zs += zs[prev:]
+    out_items += items[prev:]
+    return out_zs, out_items
 
 
 class DurablePHTree:
@@ -190,6 +230,7 @@ class DurablePHTree:
             dims, width, shards=shards, value_codec=codec, hc_mode=hc_mode
         )
         self._check_key = self._live._check_key
+        self._z_of, self._un_z = z_functions(dims, width)
 
     def _create_fresh(self) -> None:
         # Protocol: WAL first, manifest second.  A crash in between
@@ -219,6 +260,7 @@ class DurablePHTree:
             "segments": 0,
             "replayed": 0,
             "torn_bytes": 0,
+            "walked_segments": 0,
         }
 
     def _recover(self, manifest: Manifest) -> None:
@@ -242,11 +284,10 @@ class DurablePHTree:
         self._wal = wal
         self._manifest = manifest
 
-        state = self._replay_segments()
-        records = [self._records.decode(p) for p in payloads]
+        tail: List[WalRecord] = []
         last_seq = manifest.wal_seq
-        replayed = 0
-        for rec in records:
+        for payload in payloads:
+            rec = self._records.decode(payload)
             if rec.seq <= manifest.wal_seq:
                 # Flushed before the WAL rotated; already in a segment.
                 continue
@@ -255,25 +296,21 @@ class DurablePHTree:
                     f"WAL sequence regression: {rec.seq} after {last_seq}"
                 )
             last_seq = rec.seq
-            replayed += 1
-            # Replayed tail records are pending again: in the WAL and
-            # the live tree, but not yet in any segment.
-            self._apply_record(state, rec, pending=True)
+            tail.append(rec)
         self._next_seq = last_seq + 1
 
-        merged = sorted(
-            (interleave(key, self._width), key) for key in state
-        )
-        items = [(key, state[key]) for _, key in merged]
-        zs = [z for z, _ in merged]
-        self._rebuild_live(items, zs)
+        runs, delta, walked = self._chain_runs()
+        self._fold_wal(tail, runs, delta)
+        entries = self._rebuild_live(runs, delta)
         self._gc_orphans()
+        replayed = len(tail)
         self._recovery_info = {
             "created": 0,
             "segments": len(segments),
             "replayed": replayed,
             "torn_bytes": torn,
-            "entries": len(items),
+            "entries": entries,
+            "walked_segments": walked,
         }
         _recorder.record(
             "store_recovery",
@@ -281,7 +318,7 @@ class DurablePHTree:
             segments=len(segments),
             replayed=replayed,
             torn_bytes=torn,
-            entries=len(items),
+            entries=entries,
         )
         _probes.store_recoveries.inc()
         if replayed:
@@ -290,11 +327,168 @@ class DurablePHTree:
             _probes.store_torn_bytes.inc(torn)
         _probes.store_segments_live.set(len(segments))
 
-    def _rebuild_live(
-        self, items: List[Tuple[Key, Any]], zs: List[int]
+    # -- recovery: segments as z-sorted runs -----------------------------------
+    #
+    # A segment is one shard's entries in z-order, and a learned
+    # segment's PHL1 trailer already holds that order as a flat column.
+    # Recovery keeps each shard's oldest segment as its base run and
+    # folds everything newer -- later segments, tombstones, the WAL
+    # tail -- into one delta keyed by z-code: ``(key, value)`` for a
+    # live entry, ``None`` for a deletion.  Each shard's base merges
+    # with its slice of the delta and goes straight to the sorted bulk
+    # loader; a shard with nothing newer than its base loads the run
+    # as is.
+
+    def _chain_runs(
+        self,
+    ) -> Tuple[List[Optional[_Run]], Dict[int, Optional[_Item]], int]:
+        """Fold the segment chain (oldest first) into ``(runs, delta,
+        walked)``: each shard's base run, the z-keyed delta of every
+        newer record, and how many segments had to be walked."""
+        z_of = self._z_of
+        shard_of_z = self._live.router.shard_of_z
+        runs: List[Optional[_Run]] = [None] * self._n_shards
+        delta: Dict[int, Optional[_Item]] = {}
+        walked = 0
+        for seg in self._segments:
+            if seg.frozen is None:
+                # A tombstone erases its keys from every older record;
+                # a shard with no base yet holds nothing older.
+                for key in seg.tombstones:
+                    z = z_of(key)
+                    if runs[shard_of_z(z)] is not None:
+                        delta[z] = None
+                continue
+            run, was_walked = self._segment_run(seg)
+            walked += was_walked
+            shard = seg.record.shard
+            if runs[shard] is None:
+                runs[shard] = run
+            else:
+                delta.update(zip(*run))
+        return runs, delta, walked
+
+    def _segment_run(self, seg: Segment) -> Tuple[_Run, bool]:
+        """One data segment as a checked z-sorted run ``(zs, items)``,
+        and whether its stream had to be walked.
+
+        A learned segment is read from its trailer: z-codes copied from
+        the z-column, values read at the value-position column, keys
+        de-interleaved from the z-codes -- no descent.  A segment
+        without a trailer (every segment of an unlearned store) walks
+        its stream; in a learned store that is recorded as an event.
+        Columns that disagree with the header's entry count, leave the
+        shard's z-interval or the stream, or do not strictly ascend
+        raise :class:`StoreError` naming the file.
+        """
+        frozen = seg.frozen
+        name = seg.record.file
+        shard = seg.record.shard
+        if not 0 <= shard < self._n_shards:
+            raise StoreError(f"segment {name}: bad shard {shard}")
+        n = len(frozen)
+        model = frozen.learned_index
+        if model is None:
+            items = list(frozen.items())
+            zs = [self._z_of(key) for key, _ in items]
+        else:
+            zs, valpos = model.columns()
+        if len(zs) != n:
+            raise StoreError(
+                f"segment {name}: run holds {len(zs)} entries, its header "
+                f"says {n}"
+            )
+        if not n:
+            return ([], []), False
+        lo, hi = self._live.router.z_interval(shard)
+        if zs[0] < lo or zs[-1] > hi:
+            raise StoreError(
+                f"segment {name}: z-codes leave shard {shard}'s interval"
+            )
+        if not _strictly_ascending(zs):
+            raise StoreError(f"segment {name}: z-codes do not strictly ascend")
+        if model is None:
+            if self._learned:
+                _recorder.record(
+                    "store_segment_walked", path=self._path, file=name,
+                    entries=n,
+                )
+            return (zs, items), True
+        if (
+            valpos[0] < 0
+            or valpos[-1] + self._codec.bits > frozen.stream_bits
+            or not _strictly_ascending(valpos)
+        ):
+            raise StoreError(
+                f"segment {name}: value offsets are not ascending inside "
+                "the stream"
+            )
+        items = list(zip(map(self._un_z, zs), frozen.values_at(valpos)))
+        return (zs, items), False
+
+    def _fold_wal(
+        self,
+        tail: List[WalRecord],
+        runs: List[Optional[_Run]],
+        delta: Dict[int, Optional[_Item]],
     ) -> None:
-        """Install z-sorted ``items`` as the live tree via per-shard
-        sorted bulk loads (the recovery fast path)."""
+        """Fold the WAL tail into ``delta`` and rebuild the pending
+        sets: replayed records are in the WAL and the live tree, but not
+        yet in any segment."""
+        z_of = self._z_of
+        decode = self._codec.decode
+        puts = self._pending_puts
+        dels = self._pending_dels
+        for rec in tail:
+            key = rec.key
+            if rec.op == OP_PUT:
+                value = decode(rec.value)
+                delta[z_of(key)] = (key, value)
+                puts[key] = value
+                dels.discard(key)
+            elif rec.op == OP_DEL:
+                delta[z_of(key)] = None
+                puts.pop(key, None)
+                dels.add(key)
+            elif rec.op == OP_UPD:
+                z = z_of(key)
+                item = delta.get(z, _MISSING)
+                if item is _MISSING:
+                    item = self._run_lookup(runs, z)
+                if item is None:
+                    continue  # moving an absent key is a no-op
+                new_key = rec.new_key
+                value = item[1]
+                delta[z] = None
+                delta[z_of(new_key)] = (new_key, value)
+                puts.pop(key, None)
+                dels.add(key)
+                puts[new_key] = value
+                dels.discard(new_key)
+            else:  # pragma: no cover - decode rejects unknown ops
+                raise StoreError(f"unknown WAL op {rec.op}")
+
+    def _run_lookup(
+        self, runs: List[Optional[_Run]], z: int
+    ) -> Optional[_Item]:
+        """The base-run entry with z-code ``z``, or ``None``."""
+        run = runs[self._live.router.shard_of_z(z)]
+        if run is None:
+            return None
+        zs, items = run
+        i = bisect_left(zs, z)
+        if i < len(zs) and zs[i] == z:
+            return items[i]
+        return None
+
+    def _rebuild_live(
+        self,
+        runs: List[Optional[_Run]],
+        delta: Dict[int, Optional[_Item]],
+    ) -> int:
+        """Merge each shard's base run with its slice of ``delta`` and
+        install the result as the live tree via per-shard sorted bulk
+        loads; returns the entry count."""
         live = ShardedPHTree(
             self._dims,
             self._width,
@@ -303,67 +497,33 @@ class DurablePHTree:
             hc_mode=self._hc_mode,
         )
         shard_of_z = live.router.shard_of_z
-        n = len(items)
-        start = 0
-        while start < n:
-            shard = shard_of_z(zs[start])
-            end = start + 1
-            while end < n and shard_of_z(zs[end]) == shard:
-                end += 1
+        changes: List[List[int]] = [[] for _ in range(self._n_shards)]
+        for z in sorted(delta):
+            changes[shard_of_z(z)].append(z)
+        total = 0
+        for shard, run in enumerate(runs):
+            if changes[shard]:
+                run = _merge_run(run, changes[shard], delta)
+            runs[shard] = None  # let the shard's run go once it is built
+            if run is None or not run[0]:
+                continue
+            zs, items = run
             built = bulk_load_sorted(
-                items[start:end],
+                items,
                 self._dims,
                 self._width,
                 hc_mode=self._hc_mode,
                 validate=False,
-                zcodes=zs[start:end],
+                zcodes=zs,
             )
             locked = live._shards[shard]
             with locked.lock.write():
                 locked._tree = built
                 live._generations[shard] += 1
-            start = end
+            total += len(items)
         self._live = live
         self._check_key = live._check_key
-
-    def _apply_record(
-        self, state: Dict[Key, Any], rec: WalRecord, pending: bool = False
-    ) -> None:
-        """Fold one WAL record into ``state``; with ``pending`` also
-        track it in the not-yet-flushed delta."""
-        if rec.op == OP_PUT:
-            value = self._codec.decode(rec.value)
-            state[rec.key] = value
-            if pending:
-                self._pending_puts[rec.key] = value
-                self._pending_dels.discard(rec.key)
-        elif rec.op == OP_DEL:
-            state.pop(rec.key, None)
-            if pending:
-                self._pending_puts.pop(rec.key, None)
-                self._pending_dels.add(rec.key)
-        elif rec.op == OP_UPD:
-            if rec.key in state:
-                value = state.pop(rec.key)
-                state[rec.new_key] = value
-                if pending:
-                    self._pending_puts.pop(rec.key, None)
-                    self._pending_dels.add(rec.key)
-                    self._pending_puts[rec.new_key] = value
-                    self._pending_dels.discard(rec.new_key)
-        else:  # pragma: no cover - decode rejects unknown ops
-            raise StoreError(f"unknown WAL op {rec.op}")
-
-    def _replay_segments(self) -> Dict[Key, Any]:
-        """Fold the segment chain (oldest first) into one mapping."""
-        state: Dict[Key, Any] = {}
-        for seg in self._segments:
-            for key in seg.tombstones:
-                state.pop(key, None)
-            if seg.frozen is not None:
-                for key, value in seg.frozen.items():
-                    state[key] = value
-        return state
+        return total
 
     def _gc_orphans(self) -> None:
         """Unlink data files not referenced by the committed manifest --
@@ -432,7 +592,9 @@ class DurablePHTree:
     @property
     def recovery_info(self) -> Dict[str, int]:
         """What the last :meth:`open` did: ``created``, ``segments``
-        attached, WAL records ``replayed``, ``torn_bytes`` discarded."""
+        attached, WAL records ``replayed``, ``torn_bytes`` discarded,
+        ``walked_segments`` read by walking their stream (no trailer)
+        and, after a recovery, the ``entries`` loaded."""
         return dict(self._recovery_info)
 
     def stats(self) -> Dict[str, Any]:
@@ -595,7 +757,8 @@ class DurablePHTree:
         self, mapping: Dict[Key, Any]
     ) -> List[Tuple[int, List[Tuple[Key, Any]], List[int]]]:
         """z-sort ``mapping`` and cut it into contiguous shard runs."""
-        merged = sorted((interleave(key, self._width), key) for key in mapping)
+        z_of = self._z_of
+        merged = sorted((z_of(key), key) for key in mapping)
         shard_of_z = self._live.router.shard_of_z
         runs: List[Tuple[int, List[Tuple[Key, Any]], List[int]]] = []
         n = len(merged)
@@ -735,39 +898,25 @@ class DurablePHTree:
             return written
 
     def compact(self) -> int:
-        """Flush, then merge the whole chain into at most one segment
-        per shard (tombstones and shadowed versions erased).
+        """Flush, then rewrite the chain as at most one segment per
+        shard (tombstones and shadowed versions erased).
 
-        Returns the number of merged segments committed.
+        After the flush the live tree holds exactly the merged chain,
+        so the new chain is a snapshot of the live shards -- the same
+        path :meth:`checkpoint` takes -- and the WAL, empty since the
+        flush, stays.  Returns the number of segments committed.
         """
         with self._mutex:
             self._ensure_open()
             self.flush()
             if not self._segments:
                 return 0
-            with store_io.scope("compact"):
-                state = self._replay_segments()
-                records: List[SegmentRecord] = []
-                file_id = self._manifest.next_file_id
-                for shard, items, zs in self._split_sorted(state):
-                    name = segment_name(file_id)
-                    file_id += 1
-                    write_segment_file(
-                        os.path.join(self._path, name),
-                        self._freeze_items(items, zs),
-                    )
-                    records.append(
-                        SegmentRecord(
-                            file=name, shard=shard, entries=len(items)
-                        )
-                    )
-                self._manifest.next_file_id = file_id
-                self._commit(records, rotate_wal=False)
+            records = self._commit_snapshot("compact", rotate_wal=False)
             _recorder.record(
                 "store_compaction",
                 path=self._path,
                 segments=len(records),
-                entries=len(state),
+                entries=len(self._live),
             )
             _probes.store_compactions.inc()
             return len(records)
@@ -781,30 +930,7 @@ class DurablePHTree:
         """
         with self._mutex:
             self._ensure_open()
-            blobs = self._live.freeze_shards(
-                self._codec, learned=self._learned
-            )
-            sizes = self._live.shard_sizes()
-            with store_io.scope("flush"):
-                records: List[SegmentRecord] = []
-                file_id = self._manifest.next_file_id
-                for shard, blob in enumerate(blobs):
-                    if not sizes.get(shard):
-                        continue
-                    name = segment_name(file_id)
-                    file_id += 1
-                    write_segment_file(
-                        os.path.join(self._path, name), blob
-                    )
-                    records.append(
-                        SegmentRecord(
-                            file=name,
-                            shard=shard,
-                            entries=sizes[shard],
-                        )
-                    )
-                self._manifest.next_file_id = file_id
-                self._commit(records, rotate_wal=True)
+            records = self._commit_snapshot("flush", rotate_wal=True)
             _recorder.record(
                 "store_checkpoint",
                 path=self._path,
@@ -813,6 +939,35 @@ class DurablePHTree:
             )
             _probes.store_flushes.inc()
             return len(records)
+
+    def _commit_snapshot(
+        self, scope: str, rotate_wal: bool
+    ) -> List[SegmentRecord]:
+        """Write each non-empty live shard's frozen stream as a segment
+        and commit them as the whole chain, inside io ``scope``.  A
+        shard's stream depends only on its contents (paper §3), so it is
+        byte-identical to freezing a bulk load of them.  Caller holds
+        the mutex."""
+        assert self._manifest is not None
+        blobs = self._live.freeze_shards(self._codec, learned=self._learned)
+        sizes = self._live.shard_sizes()
+        with store_io.scope(scope):
+            records: List[SegmentRecord] = []
+            file_id = self._manifest.next_file_id
+            for shard, blob in enumerate(blobs):
+                if not sizes.get(shard):
+                    continue
+                name = segment_name(file_id)
+                file_id += 1
+                write_segment_file(os.path.join(self._path, name), blob)
+                records.append(
+                    SegmentRecord(
+                        file=name, shard=shard, entries=sizes[shard]
+                    )
+                )
+            self._manifest.next_file_id = file_id
+            self._commit(records, rotate_wal=rotate_wal)
+        return records
 
     # -- reads (delegated to the live tree) ------------------------------------
 

@@ -52,7 +52,9 @@ def _random_tree(k, width, n, seed, **kwargs):
 
 @st.composite
 def shape(draw):
-    k = draw(st.integers(min_value=1, max_value=6))
+    # k <= 12 de-interleaves through a row table, k > 12 by byte steps:
+    # draw on both sides of that cut.
+    k = draw(st.integers(min_value=1, max_value=16))
     width = draw(st.sampled_from([1, 3, 8, 16, 20, 33, 64]))
     return k, width
 
@@ -86,6 +88,18 @@ class TestGeneratedPrimitives:
         assert spec.deinterleave(code) == deinterleave_naive(
             code, k, width
         )
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12, 13, 16])
+    @pytest.mark.parametrize("width", [1, 7, 20, 64])
+    def test_deinterleave_matches_oracle_on_random_codes(self, k, width):
+        spec = get_spec(k, width)
+        rng = random.Random(k * 100 + width)
+        top = (1 << (k * width)) - 1
+        codes = [0, top] + [rng.randrange(top + 1) for _ in range(500)]
+        for code in codes:
+            assert spec.deinterleave(code) == deinterleave_naive(
+                code, k, width
+            )
 
     def test_check_key(self):
         spec = get_spec(3, 8)
