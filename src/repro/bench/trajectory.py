@@ -39,7 +39,10 @@ Measured (best of ``repeats`` runs each, CUBE-distributed integer keys):
   trailer from :mod:`repro.learned`, attached twice -- once with the
   trailer ignored), with parity asserted before timing,
 - ``router_balance``: shard-population imbalance of the fixed z-prefix
-  router vs the learned CDF router on prefix-skewed CLUSTER keys.
+  router vs the learned CDF router on prefix-skewed CLUSTER keys,
+- ``sharded_knn``: 10-NN on CLUSTER keys through an 8-shard
+  learned-router ``ShardedPHTree`` against one unsharded ``PHTree``
+  (``sharded_knn_ratio`` is sharded time over unsharded time).
 
 Derived speedups are the acceptance numbers: ``speedup_get_many`` /
 ``speedup_range_iter`` (batching and the iterative kernel against the
@@ -920,6 +923,83 @@ def run_trajectory(
             frozen_learned=frozen_learned,
             seek_boxes=seek_boxes,
         )
+    return _with_sharded_knn(report, scale, seed)
+
+
+def _with_sharded_knn(
+    report: Dict[str, Any], scale: str, seed: int
+) -> Dict[str, Any]:
+    """Add the ``sharded_knn`` record: 10-NN through an 8-shard
+    learned-router :class:`~repro.parallel.ShardedPHTree` against one
+    unsharded :class:`PHTree` over the same CLUSTER entries.
+
+    Queries are data keys jittered by 2^-10 of the domain, as in the
+    stack benchmark's ``window-knn-cluster`` workload.  Results are
+    asserted identical (order included) before timing; the two engines
+    are timed round-robin with :func:`_best_group`.
+    """
+    from repro.core.bulk import bulk_load
+    from repro.datasets.cluster import generate_cluster
+    from repro.parallel import ShardedPHTree
+
+    params = SCALES[scale]
+    top = (1 << WIDTH) - 1
+    # CLUSTER points can fall just outside [0, 1): clamp both ends.
+    keys = list(
+        dict.fromkeys(
+            tuple(min(top, max(0, int(v * (1 << WIDTH)))) for v in point)
+            for point in generate_cluster(params["n"], DIMS, seed=seed)
+        )
+    )
+    entries = [(key, i) for i, key in enumerate(keys)]
+    rng = make_rng(seed + 3)
+    radius = 1 << (WIDTH - 10)
+    queries = []
+    for _ in range(10 * params["n_knn"]):
+        anchor = keys[rng.randrange(len(keys))]
+        queries.append(
+            tuple(
+                min(top, max(0, v + rng.randint(-radius, radius)))
+                for v in anchor
+            )
+        )
+    shards = 8
+    sharded = ShardedPHTree.build(
+        entries, dims=DIMS, width=WIDTH, shards=shards, router="learned"
+    )
+    unsharded = bulk_load(entries, DIMS, WIDTH)
+    n = 10  # the stack benchmark's KNN_K
+    for query in queries:
+        assert sharded.knn(query, n) == unsharded.knn(query, n), query
+
+    t_sharded, t_unsharded = _best_group(
+        [
+            lambda: [sharded.knn(query, n) for query in queries],
+            lambda: [unsharded.knn(query, n) for query in queries],
+        ],
+        params["repeats"],
+    )
+    per_query = 1e6 / len(queries)
+    report["sharded_knn"] = {
+        "distribution": "cluster",
+        "n_keys": len(keys),
+        "n_queries": len(queries),
+        "n": n,
+        "shards": shards,
+        "router": "learned",
+        "jitter": radius,
+        "note": (
+            "shards searched in ascending region distance, each bounded "
+            "by the running n-th best distance, merged by (distance, "
+            "shard, rank); parity with the unsharded tree asserted "
+            "before timing"
+        ),
+    }
+    report["metrics"].update(
+        sharded_knn_us_per_query=round(t_sharded * per_query, 4),
+        unsharded_knn_us_per_query=round(t_unsharded * per_query, 4),
+        sharded_knn_ratio=round(t_sharded / t_unsharded, 4),
+    )
     return report
 
 

@@ -1513,14 +1513,14 @@ class ArenaPHTree(PHTree):
         return batch_mod.arena_query_many(self, boxes, use_masks)
 
     def knn(
-        self, key: Sequence[int], n: int = 1
+        self, key: Sequence[int], n: int = 1, *, bound: Any = None
     ) -> List[Tuple[Tuple[int, ...], Any]]:
         spec = self._spec
         if spec is not None and not _rt.enabled:
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
-            return spec.arena_knn(self, checked, n)
+            return spec.arena_knn(self, checked, n, bound)
         key = self._check_key(key)
         obs = _rt.enabled
         if obs:
@@ -1534,6 +1534,7 @@ class ArenaPHTree(PHTree):
                 knn_mod.squared_euclidean_int(key),
                 knn_mod.squared_euclidean_region_int(key),
                 self._morton_key(),
+                bound=bound,
             )
         ]
         if obs:

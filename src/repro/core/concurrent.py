@@ -336,10 +336,13 @@ class SynchronizedPHTree:
         with self._lock.read():
             return list(self._tree.query(box_min, box_max))
 
-    def knn(self, key: Sequence, n: int = 1) -> List:
-        """Nearest neighbours under the shared lock."""
+    def knn(self, key: Sequence, n: int = 1, *, bound: Any = None) -> List:
+        """Nearest neighbours under the shared lock (``bound`` as for
+        :meth:`PHTree.knn`)."""
         with self._lock.read():
-            return self._tree.knn(key, n)
+            if bound is None:
+                return self._tree.knn(key, n)
+            return self._tree.knn(key, n, bound=bound)
 
     def items(self) -> List:
         """Materialised items snapshot under the shared lock."""

@@ -93,6 +93,8 @@ def knn_iter(
     point_distance: PointDistance,
     region_distance: RegionDistance,
     z_key: Optional[Callable[[Sequence[int]], int]] = None,
+    *,
+    bound: Any = None,
 ) -> Iterator[Tuple[Any, Tuple[int, ...], Any]]:
     """Yield up to ``n`` entries as ``(distance, key, value)``, nearest
     first.
@@ -110,13 +112,20 @@ def knn_iter(
     so the heap invariant (a node sorts no later than anything beneath
     it) holds for the composite ``(distance, z)`` key as well.  Without
     ``z_key``, ties fall back to discovery order.
+
+    ``bound`` is an inclusive distance limit: a node or entry farther
+    than it is never pushed, so the search yields exactly the entries
+    of the unbounded result whose distance is ``<= bound``, in the same
+    order.  The sharded tree passes its running ``n``-th best distance
+    here, so a later shard only searches where it can still place a
+    result.
     """
     if _rt.enabled:
         return _knn_iter_instrumented(
-            root, n, point_distance, region_distance, z_key
+            root, n, point_distance, region_distance, z_key, bound
         )
     return _knn_iter_plain(
-        root, n, point_distance, region_distance, z_key
+        root, n, point_distance, region_distance, z_key, bound
     )
 
 
@@ -126,6 +135,7 @@ def _knn_iter_plain(
     point_distance: PointDistance,
     region_distance: RegionDistance,
     z_key: Optional[Callable[[Sequence[int]], int]] = None,
+    bound: Any = None,
 ) -> Iterator[Tuple[Any, Tuple[int, ...], Any]]:
     if n <= 0 or root is None:
         return
@@ -133,9 +143,10 @@ def _knn_iter_plain(
     if z_key is None:
         z_key = lambda _key: 0  # noqa: E731 - ties fall to the counter
     lower, upper = root.region()
-    heap: list = [
-        (region_distance(lower, upper), z_key(lower), next(tiebreak), root)
-    ]
+    dist = region_distance(lower, upper)
+    if bound is not None and dist > bound:
+        return
+    heap: list = [(dist, z_key(lower), next(tiebreak), root)]
     produced = 0
     push = heapq.heappush
     node_cls = Node
@@ -149,27 +160,12 @@ def _knn_iter_plain(
                 if slot.__class__ is node_cls:
                     lower = slot.prefix
                     free = (1 << (slot.post_len + 1)) - 1
-                    push(
-                        heap,
-                        (
-                            region_distance(
-                                lower, tuple(p | free for p in lower)
-                            ),
-                            z_key(lower),
-                            next(tiebreak),
-                            slot,
-                        ),
-                    )
+                    d = region_distance(lower, tuple(p | free for p in lower))
                 else:
-                    push(
-                        heap,
-                        (
-                            point_distance(slot.key),
-                            z_key(slot.key),
-                            next(tiebreak),
-                            slot,
-                        ),
-                    )
+                    lower = slot.key
+                    d = point_distance(lower)
+                if bound is None or d <= bound:
+                    push(heap, (d, z_key(lower), next(tiebreak), slot))
         else:
             entry: Entry = item
             yield dist, entry.key, entry.value
@@ -184,6 +180,7 @@ def _knn_iter_instrumented(
     point_distance: PointDistance,
     region_distance: RegionDistance,
     z_key: Optional[Callable[[Sequence[int]], int]] = None,
+    bound: Any = None,
 ) -> Iterator[Tuple[Any, Tuple[int, ...], Any]]:
     """Instrumented twin of the best-first loop: counts regions
     expanded, heap pushes, the heap-size high-water mark and entries
@@ -196,9 +193,11 @@ def _knn_iter_instrumented(
     if z_key is None:
         z_key = lambda _key: 0  # noqa: E731 - ties fall to the counter
     lower, upper = root.region()
-    heap: list = [
-        (region_distance(lower, upper), z_key(lower), next(tiebreak), root)
-    ]
+    dist = region_distance(lower, upper)
+    if bound is not None and dist > bound:
+        _probes.record_knn(0, 0, 0, 0)
+        return
+    heap: list = [(dist, z_key(lower), next(tiebreak), root)]
     c_regions = 0
     c_pushes = 1  # the root seed
     c_high = 1
@@ -215,28 +214,15 @@ def _knn_iter_instrumented(
                     if slot.__class__ is node_cls:
                         lower = slot.prefix
                         free = (1 << (slot.post_len + 1)) - 1
-                        push(
-                            heap,
-                            (
-                                region_distance(
-                                    lower, tuple(p | free for p in lower)
-                                ),
-                                z_key(lower),
-                                next(tiebreak),
-                                slot,
-                            ),
+                        d = region_distance(
+                            lower, tuple(p | free for p in lower)
                         )
                     else:
-                        push(
-                            heap,
-                            (
-                                point_distance(slot.key),
-                                z_key(slot.key),
-                                next(tiebreak),
-                                slot,
-                            ),
-                        )
-                    c_pushes += 1
+                        lower = slot.key
+                        d = point_distance(lower)
+                    if bound is None or d <= bound:
+                        push(heap, (d, z_key(lower), next(tiebreak), slot))
+                        c_pushes += 1
                 if len(heap) > c_high:
                     c_high = len(heap)
             else:
@@ -259,9 +245,11 @@ def arena_knn_iter(
     point_distance: PointDistance,
     region_distance: RegionDistance,
     z_key: Optional[Callable[[Sequence[int]], int]] = None,
+    *,
+    bound: Any = None,
 ) -> Iterator[Tuple[Any, Tuple[int, ...], Any]]:
     """Arena twin of :func:`knn_iter`: the same best-first search over
-    slab offsets.
+    slab offsets, with the same inclusive ``bound``.
 
     Heap items carry the tagged slot ref as payload
     (``node_off << 1 | 1`` / ``entry_off << 1``); ordering only ever
@@ -271,28 +259,23 @@ def arena_knn_iter(
     """
     obs = _rt.enabled
     root = tree._root_off
-    if n <= 0 or not root:
+    arena = tree._arena
+    words = arena.words
+    k = arena.k
+    if n > 0 and root:
+        lower = tuple(words[root + 2 : root + 2 + k])
+        free = (1 << ((words[root] & 63) + 1)) - 1
+        dist = region_distance(lower, tuple(p | free for p in lower))
+    if n <= 0 or not root or (bound is not None and dist > bound):
         if obs:
             _probes.record_knn(0, 0, 0, 0)
         return
-    arena = tree._arena
-    words = arena.words
     entries = arena.entries
     values = arena.values
-    k = arena.k
     tiebreak = itertools.count()
     if z_key is None:
         z_key = lambda _key: 0  # noqa: E731 - ties fall to the counter
-    lower = tuple(words[root + 2 : root + 2 + k])
-    free = (1 << ((words[root] & 63) + 1)) - 1
-    heap: list = [
-        (
-            region_distance(lower, tuple(p | free for p in lower)),
-            z_key(lower),
-            next(tiebreak),
-            (root << 1) | 1,
-        )
-    ]
+    heap: list = [(dist, z_key(lower), next(tiebreak), (root << 1) | 1)]
     c_regions = 0
     c_pushes = 1  # the root seed
     c_high = 1
@@ -321,31 +304,16 @@ def arena_knn_iter(
                         child = cref >> 1
                         lower = tuple(words[child + 2 : child + 2 + k])
                         cfree = (1 << ((words[child] & 63) + 1)) - 1
-                        push(
-                            heap,
-                            (
-                                region_distance(
-                                    lower,
-                                    tuple(p | cfree for p in lower),
-                                ),
-                                z_key(lower),
-                                next(tiebreak),
-                                cref,
-                            ),
+                        d = region_distance(
+                            lower, tuple(p | cfree for p in lower)
                         )
                     else:
                         e = cref >> 1
-                        key = tuple(entries[e : e + k])
-                        push(
-                            heap,
-                            (
-                                point_distance(key),
-                                z_key(key),
-                                next(tiebreak),
-                                cref,
-                            ),
-                        )
-                    c_pushes += 1
+                        lower = tuple(entries[e : e + k])
+                        d = point_distance(lower)
+                    if bound is None or d <= bound:
+                        push(heap, (d, z_key(lower), next(tiebreak), cref))
+                        c_pushes += 1
                 if len(heap) > c_high:
                     c_high = len(heap)
             else:

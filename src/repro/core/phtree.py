@@ -741,12 +741,16 @@ class PHTree:
         return sum(1 for _ in self.query(box_min, box_max))
 
     def knn(
-        self, key: Sequence[int], n: int = 1
+        self, key: Sequence[int], n: int = 1, *, bound: Any = None
     ) -> List[Tuple[Tuple[int, ...], Any]]:
         """Return the ``n`` nearest entries to ``key`` by Euclidean
         distance in integer key space, nearest first; equidistant
         entries come in z-order (so the result is a pure function of
         the stored key set).
+
+        ``bound`` limits the search to entries whose squared distance
+        is at most ``bound`` (inclusive); the result is then the prefix
+        of the unbounded one that lies within it.
         """
         key = self._check_key(key)
         obs = _rt.enabled
@@ -761,6 +765,7 @@ class PHTree:
                 knn_mod.squared_euclidean_int(key),
                 knn_mod.squared_euclidean_region_int(key),
                 self._morton_key(),
+                bound=bound,
             )
         ]
         if obs:

@@ -45,7 +45,7 @@ from typing import Any, Tuple
 from repro.core.hypercube import HCContainer, LHCContainer
 from repro.core.node import Entry, Node
 from repro.core.phtree import PHTree
-from repro.encoding.bitbuffer import BitBuffer
+from repro.encoding.bitbuffer import BitBuffer, BitReader
 
 __all__ = [
     "NoneValueCodec",
@@ -105,10 +105,12 @@ def serialize_tree(tree: PHTree, value_codec: Any = NoneValueCodec) -> bytes:
             f"the serialised format stores post_len in 8 bits; "
             f"width {w} > 256 is not representable"
         )
-    buf = BitBuffer()
-    if tree.root is not None:
-        _write_node(buf, tree.root, parent_post_len=w, k=k,
-                    value_codec=value_codec)
+    root = tree.root
+    if root is not None:
+        data, nbits = _write_node(root, w, k, value_codec)
+        buf = BitBuffer(data, nbits)
+    else:
+        buf = BitBuffer()
     header = _MAGIC + struct.pack(
         ">HHQQ", k, w, len(tree), buf.bit_length
     )
@@ -137,9 +139,9 @@ def deserialize_tree(
         if bit_length:
             raise ValueError("empty tree with non-empty node stream")
         return tree
-    buf = BitBuffer.from_bytes(data[offset:], bit_length)
+    reader = BitReader(data[offset:], bit_length)
     root, consumed = _read_node(
-        buf, 0, parent_post_len=w, parent_prefix=(0,) * k,
+        reader, 0, parent_post_len=w, parent_prefix=(0,) * k,
         parent_address=0, k=k, value_codec=value_codec,
     )
     if consumed != bit_length:
@@ -158,46 +160,68 @@ def deserialize_tree(
 
 
 def _write_node(
-    buf: BitBuffer,
     node: Node,
     parent_post_len: int,
     k: int,
     value_codec: Any,
-) -> None:
-    buf.append(node.post_len, 8)
-    infix_len = parent_post_len - 1 - node.post_len
+) -> Tuple[int, int]:
+    """Return ``node``'s serialised subtree as one ``(data, bit_length)``
+    integer.
+
+    Children return their finished bodies bottom-up and the parent
+    shifts each in once, as :func:`repro.core.frozen.freeze` does, so
+    every bit moves O(depth) times instead of the O(stream) cost a
+    ``BitBuffer.append`` per field pays on one growing integer.
+    """
+    post_len = node.post_len
+    infix_len = parent_post_len - 1 - post_len
     if infix_len != node.infix_len:
         raise AssertionError(
             f"inconsistent infix_len: stored {node.infix_len}, "
             f"derived {infix_len}"
         )
+    acc = post_len
+    bits = 8
     if infix_len:
-        shift = node.post_len + 1
+        shift = post_len + 1
         mask = (1 << infix_len) - 1
         for value in node.prefix:
-            buf.append((value >> shift) & mask, infix_len)
-    buf.append(1 if node.container.is_hc else 0, 1)
-    buf.append(node.num_slots(), k + 1)
-    post_bits = node.post_len
-    post_mask = (1 << post_bits) - 1
+            acc = (acc << infix_len) | ((value >> shift) & mask)
+        bits += infix_len * k
+    is_hc = 1 if node.container.is_hc else 0
+    acc = (((acc << 1) | is_hc) << (k + 1)) | node.num_slots()
+    bits += k + 2
+    post_mask = (1 << post_len) - 1
+    vbits = value_codec.bits
+    encode = value_codec.encode
     for address, slot in node.items():
-        buf.append(address, k)
         if isinstance(slot, Node):
-            buf.append(1, 1)
-            _write_node(buf, slot, node.post_len, k, value_codec)
+            cdata, cbits = _write_node(slot, post_len, k, value_codec)
+            acc = (((((acc << k) | address) << 1) | 1) << cbits) | cdata
+            bits += k + 1 + cbits
         else:
-            buf.append(0, 1)
-            if post_bits:
+            acc = ((acc << k) | address) << 1
+            bits += k + 1
+            if post_len:
                 for value in slot.key:
-                    buf.append(value & post_mask, post_bits)
+                    acc = (acc << post_len) | (value & post_mask)
+                bits += post_len * k
             # Encode unconditionally: zero-bit codecs still validate that
             # the value is representable (silently dropping a value would
             # corrupt the round trip).
-            buf.append(value_codec.encode(slot.value), value_codec.bits)
+            value = encode(slot.value)
+            if value >> vbits:
+                raise ValueError(
+                    f"value codec emitted {value}, which does not fit "
+                    f"its declared {vbits} bits"
+                )
+            acc = (acc << vbits) | value
+            bits += vbits
+    return acc, bits
 
 
 def _read_node(
-    buf: BitBuffer,
+    buf: BitReader,
     pos: int,
     parent_post_len: int,
     parent_prefix: Tuple[int, ...],

@@ -1490,7 +1490,11 @@ def _emit_arena_knn(k: int, width: int) -> str:
     closure calls), each expanded node's ref run hoisted with one
     slice.  Push order, distances and z-tiebreaks are identical to the
     generic engine, so ties resolve identically; returns the
-    ``[(key, value), ...]`` list ``ArenaPHTree.knn`` materialises."""
+    ``[(key, value), ...]`` list ``ArenaPHTree.knn`` materialises.
+    ``bound`` is the generic engine's inclusive distance limit; a push
+    farther than it is skipped before its Morton code is computed.
+    Unbounded searches compare against the largest squared distance
+    the shape admits, so the loop only ever compares ints."""
 
     def region_dist(pad: str, acc: str) -> str:
         out = []
@@ -1521,11 +1525,13 @@ def _emit_arena_knn(k: int, width: int) -> str:
         + ("," if k == 1 else "") + ")"
     )
     return f"""\
-def arena_knn(tree, query, n):
+def arena_knn(tree, query, n, bound=None):
     out = []
     root = tree._root_off
     if n <= 0 or not root:
         return out
+    if bound is None:
+        bound = {k * ((1 << width) - 1) ** 2}
     {_unpack('q', 'query', k)}
     arena = tree._arena
     words = arena.words
@@ -1535,6 +1541,8 @@ def arena_knn(tree, query, n):
 {_unpack_prefix_lines(k, 'root', '    ')}
     dist = 0
 {region_dist('    ', 'dist')}
+    if dist > bound:
+        return out
     heap = [(dist, {_morton_expr(k, width, 'p')}, 0, (root << 1) | 1)]
     tb = 1
     produced = 0
@@ -1562,14 +1570,17 @@ def arena_knn(tree, query, n):
 {_unpack_prefix_lines(k, 'child', '                    ')}
                     cdist = 0
 {region_dist('                    ', 'cdist')}
-                    push(heap, (cdist, {_morton_expr(k, width, 'p')}, tb, cref))
+                    if cdist <= bound:
+                        push(heap, (cdist, {_morton_expr(k, width, 'p')}, tb, cref))
+                        tb += 1
                 else:
                     e = cref >> 1
 {entry_loads}
                     cdist = 0
 {point_dist}
-                    push(heap, (cdist, {_morton_expr(k, width, 'e')}, tb, cref))
-                tb += 1
+                    if cdist <= bound:
+                        push(heap, (cdist, {_morton_expr(k, width, 'e')}, tb, cref))
+                        tb += 1
         else:
             e = ref >> 1
             vref = entries[e + {k}]

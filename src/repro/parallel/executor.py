@@ -470,7 +470,7 @@ class SnapshotPool:
 
     def knn(self, key: Key, n: int) -> List[List[Tuple[Key, Any]]]:
         """Per-shard k-nearest candidate lists (every shard queried; the
-        owning tree merges by ``(distance, z-code)``)."""
+        owning tree merges by ``(distance, shard, rank)``)."""
         trace = _span.current_trace()
         with _span.maybe_span(trace, "refresh"):
             self.refresh()

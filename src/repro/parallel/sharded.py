@@ -676,86 +676,107 @@ class ShardedPHTree:
         self, key: Sequence[int], n: int = 1
     ) -> List[Tuple[Key, Any]]:
         """``n`` nearest entries, identical (order included) to the
-        unsharded tree: per-shard candidates merged by
-        ``(squared distance, Morton code)`` -- the unsharded tie order.
+        unsharded tree.
 
         Shards are visited in ascending region distance and skipped once
         their region lower bound exceeds the current ``n``-th best
-        distance (equality is kept: an equidistant candidate could still
-        win the z-order tie).
+        distance.  Each later shard is searched only up to that
+        distance; the bound is inclusive, because an equidistant entry
+        in a lower-indexed shard still wins its z-order tie.  Shards
+        are ascending z-intervals and each returns its candidates in
+        z-order among ties, so merging by ``(distance, shard, rank)``
+        gives the unsharded order without computing any Morton code.
         """
         key = self._check_key(key)
         if n <= 0:
             return []
-        width = self._router.width
-        candidate_lists: Optional[List[List[Tuple[Key, Any]]]] = None
+        best: List[Tuple[int, int, int, Key, Any]] = []
+        parts: Optional[List[List[Tuple[Key, Any]]]] = None
         if self._workers:
             try:
-                candidate_lists = self._snapshot_pool().knn(key, n)
+                parts = self._snapshot_pool().knn(key, n)
             except ParallelError as exc:
                 self._note_fallback("knn", exc)
-        if candidate_lists is None:
-            candidate_lists = self._knn_live_candidates(key, n)
         trace = _span.current_trace()
-        t0 = monotonic() if trace is not None else 0.0
-        merged = [
-            (self._point_dist(key, candidate), interleave(candidate, width),
-             candidate, value)
-            for part in candidate_lists
-            for candidate, value in part
-        ]
-        merged.sort(key=lambda item: (item[0], item[1]))
-        if trace is not None:
-            trace.add("merge", t0, monotonic())
-        return [(candidate, value) for _, _, candidate, value in merged[:n]]
-
-    def _knn_live_candidates(
-        self, key: Key, n: int
-    ) -> List[List[Tuple[Key, Any]]]:
-        """Per-shard candidate lists from the live locked shards, in
-        ascending region distance with lower-bound pruning."""
-        region_dist = squared_euclidean_region_int(key)
-        order = sorted(
-            range(self.n_shards),
-            key=lambda s: region_dist(*self._router.bounds(s)),
-        )
-        candidate_lists: List[List[Tuple[Key, Any]]] = []
-        distances: List[int] = []
-        for index in order:
-            if len(distances) >= n:
-                distances.sort()
-                # Shards come in ascending region distance: once the
-                # lower bound exceeds the n-th best exact distance,
-                # no remaining shard can contribute (ties are kept --
-                # an equidistant candidate may win on z-order).
-                if (
-                    region_dist(*self._router.bounds(index))
-                    > distances[n - 1]
-                ):
+        merge_s = 0.0
+        if parts is not None:
+            t0 = perf_counter()
+            for index, part in enumerate(parts):
+                self._knn_merge(best, key, n, index, part)
+            merge_s = perf_counter() - t0
+        else:
+            observed = _rt.enabled or trace is not None
+            region_dist = squared_euclidean_region_int(key)
+            bounds = self._router.bounds
+            shard_dist = [
+                region_dist(*bounds(s)) for s in range(self.n_shards)
+            ]
+            bound: Optional[int] = None
+            for index in sorted(
+                range(self.n_shards), key=shard_dist.__getitem__
+            ):
+                if bound is not None and shard_dist[index] > bound:
                     break
-            trace = _span.current_trace()
-            if _rt.enabled or trace is not None:
-                t0 = monotonic()
-                guard = (
-                    self._read_guard(index, "knn")
-                    if _rt.enabled
-                    else self._shards[index].lock.read()
-                )
-                with guard:
-                    t1 = monotonic()
-                    part = self._shards[index].unsafe_tree.knn(key, n)
-                    t2 = monotonic()
-                if trace is not None:
-                    trace.add("lock_wait", t0, t1, shard=index)
-                    trace.add("scan", t1, t2, shard=index)
-            else:
-                part = self._shards[index].knn(key, n)
-            candidate_lists.append(part)
-            distances.extend(
-                self._point_dist(key, candidate)
-                for candidate, _ in part
-            )
-        return candidate_lists
+                if observed:
+                    part = self._knn_scan_observed(
+                        index, key, n, bound, trace
+                    )
+                else:
+                    part = self._shards[index].knn(key, n, bound=bound)
+                t0 = perf_counter()
+                self._knn_merge(best, key, n, index, part)
+                merge_s += perf_counter() - t0
+                if len(best) == n:
+                    bound = best[-1][0]
+        if trace is not None:
+            # One span carrying the merge time summed over the shards.
+            end = monotonic()
+            trace.add("merge", end - merge_s, end)
+        return [(found, value) for *_, found, value in best]
+
+    def _knn_scan_observed(
+        self,
+        index: int,
+        key: Key,
+        n: int,
+        bound: Optional[int],
+        trace: Any,
+    ) -> List[Tuple[Key, Any]]:
+        """One shard's bounded search under its read lock, with the
+        probes (observability on) and ``lock_wait``/``scan`` spans."""
+        t0 = monotonic()
+        guard = (
+            self._read_guard(index, "knn")
+            if _rt.enabled
+            else self._shards[index].lock.read()
+        )
+        with guard:
+            t1 = monotonic()
+            part = self._shards[index].unsafe_tree.knn(key, n, bound=bound)
+            t2 = monotonic()
+        if trace is not None:
+            trace.add("lock_wait", t0, t1, shard=index)
+            trace.add("scan", t1, t2, shard=index)
+        return part
+
+    def _knn_merge(
+        self,
+        best: List[Tuple[int, int, int, Key, Any]],
+        query: Key,
+        n: int,
+        index: int,
+        part: List[Tuple[Key, Any]],
+    ) -> None:
+        """Merge shard ``index``'s nearest-first list into ``best``,
+        keeping the ``n`` smallest ``(distance, shard, rank)``; the
+        triple is unique, so keys and values are never compared."""
+        point_dist = self._point_dist
+        best.extend(
+            (point_dist(query, found), index, rank, found, value)
+            for rank, (found, value) in enumerate(part)
+        )
+        best.sort()
+        del best[n:]
 
     @staticmethod
     def _point_dist(query: Key, candidate: Key) -> int:

@@ -28,6 +28,7 @@ import zlib
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.frozen import FrozenPHTree
+from repro.obs import recorder as _recorder
 from repro.store import io as store_io
 from repro.store.manifest import SegmentRecord
 
@@ -177,9 +178,17 @@ class Segment:
         # Drop the FrozenPHTree's memoryviews before the mmap: an
         # exported view keeps a closed mmap's buffer pinned and raises.
         self.frozen = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
+        mapped, self._mmap = self._mmap, None
+        if mapped is not None:
+            try:
+                mapped.close()
+            except BufferError:
+                # A caller still holds a view into the map (a
+                # ``Segment.frozen`` it kept): the map is released with
+                # that view's last reference instead.
+                _recorder.record(
+                    "segment_unmap_deferred", file=self.record.file
+                )
         if self._file is not None:
             self._file.close()
             self._file = None

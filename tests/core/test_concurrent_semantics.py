@@ -98,3 +98,29 @@ class TestFacadeOverFloatTree:
             ((0.5, -1.5), "v")
         ]
         assert tree.knn((0.0, 0.0), 1) == [((0.5, -1.5), "v")]
+
+
+class TestFacadeOverOtherTrees:
+    """The facade forwards ``bound`` only when it is set, so trees whose
+    ``knn`` takes no ``bound`` keep working behind it."""
+
+    def test_wraps_frozen_tree(self):
+        from repro.core.frozen import FrozenPHTree, freeze
+
+        tree = PHTree(dims=2, width=8)
+        for x in range(0, 256, 32):
+            tree.put((x, 255 - x))
+        frozen = SynchronizedPHTree(FrozenPHTree(freeze(tree)))
+        assert frozen.knn((100, 100), 3) == tree.knn((100, 100), 3)
+
+    def test_wraps_multimap(self):
+        from repro.core.multimap import PHTreeMultiMap
+
+        multimap = PHTreeMultiMap(dims=2, width=8)
+        multimap.put((1, 2), "a")
+        multimap.put((1, 2), "b")
+        multimap.put((9, 9), "c")
+        facade = SynchronizedPHTree(multimap)
+        found = facade.knn((0, 0), 2)
+        assert sorted(value for _, value in found) == ["a", "b"]
+        assert {key for key, _ in found} == {(1, 2)}

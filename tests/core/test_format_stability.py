@@ -4,10 +4,15 @@ so their byte layout must not drift silently between revisions."""
 from __future__ import annotations
 
 import hashlib
+import random
 
 from repro import PHTree
 from repro.core.frozen import freeze
-from repro.core.serialize import U64ValueCodec, serialize_tree
+from repro.core.serialize import (
+    U64ValueCodec,
+    deserialize_tree,
+    serialize_tree,
+)
 
 
 def reference_tree():
@@ -56,3 +61,37 @@ class TestGoldenBytes:
         assert data[4:6] == (2).to_bytes(2, "big")
         assert data[6:8] == (8).to_bytes(2, "big")
         assert data[8:16] == (4).to_bytes(8, "big")
+
+
+class TestSerializedStreamPinned:
+    """SHA-256 pins of whole ``PHT1`` streams of seeded trees (the
+    20k-entry one is the tree ``examples/persistence.py`` writes), so a
+    rewrite of the serialiser's writer or reader must reproduce the
+    format bit for bit."""
+
+    SHA_20K_U64 = (
+        "242016b51302120c1d3fdd006bf09e97f6bace72afaac93ae7b6c46acb98676a"
+    )
+    SHA_3K_NONE = (
+        "42e0d9bd595d9c8853fae58bd8273aa05da47fe23f4fac99a7134a89ffabcea0"
+    )
+
+    def test_20k_entry_u64_stream_pinned_and_round_trips(self):
+        rng = random.Random(99)
+        tree = PHTree(dims=3, width=32)
+        for i in range(20_000):
+            tree.put(tuple(rng.randrange(1 << 32) for _ in range(3)), i)
+        data = serialize_tree(tree, U64ValueCodec)
+        assert hashlib.sha256(data).hexdigest() == self.SHA_20K_U64
+        restored = deserialize_tree(data, U64ValueCodec)
+        assert list(restored.items()) == list(tree.items())
+        assert serialize_tree(restored, U64ValueCodec) == data
+
+    def test_3k_entry_set_stream_pinned(self):
+        rng = random.Random(7)
+        tree = PHTree(dims=2, width=16)
+        for _ in range(3000):
+            tree.put((rng.randrange(1 << 16), rng.randrange(1 << 16)))
+        data = serialize_tree(tree)
+        assert hashlib.sha256(data).hexdigest() == self.SHA_3K_NONE
+        assert serialize_tree(deserialize_tree(data)) == data

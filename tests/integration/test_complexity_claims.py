@@ -8,6 +8,7 @@ CI-safe.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
@@ -15,9 +16,11 @@ from repro import PHTree, collect_stats
 from repro.core.node import Node
 
 
-def search_path_length(tree: PHTree, key) -> int:
-    """Number of nodes visited by a point query for ``key``."""
-    node = tree.root
+def search_path_length(root: Optional[Node], key) -> int:
+    """Number of nodes visited by a point query for ``key``, starting
+    at ``root`` -- a tree's ``root``, read once per tree: on the arena
+    layout every read of it rebuilds the whole object shadow."""
+    node = root
     visits = 0
     key = tuple(key)
     while node is not None:
@@ -44,8 +47,9 @@ class TestPointQueryComplexity:
         ]
         for key in keys:
             tree.put(key)
+        root = tree.root
         for key in keys[:200]:
-            assert search_path_length(tree, key) <= width
+            assert search_path_length(root, key) <= width
 
     def test_path_growth_is_logarithmic_not_linear(self):
         """§4.3.2: 'very little decrease in performance for large
@@ -62,8 +66,9 @@ class TestPointQueryComplexity:
             for key in keys[:n]:
                 tree.put(key)
             sample = keys[: min(n, 500)]
+            root = tree.root
             return sum(
-                search_path_length(tree, k) for k in sample
+                search_path_length(root, k) for k in sample
             ) / len(sample)
 
         small = average_path(1000)
@@ -84,8 +89,9 @@ class TestPointQueryComplexity:
         }
         for key in keys:
             tree.put(key)
+        root = tree.root
         for key in list(keys)[:50]:
-            assert search_path_length(tree, key) == 1
+            assert search_path_length(root, key) == 1
 
 
 class TestUpdateComplexity:

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro import PHTree
 from repro.obs.span import (
     Span,
     Trace,
@@ -181,3 +182,22 @@ class TestWorkerSpans:
                 if span.name in ("attach", "scan"):
                     assert "shard" in span.labels
                     assert span.start >= trace.t0 - 1e-3
+
+    def test_pool_knn_records_merge(self):
+        items = [
+            ((x * 4000, y * 4000), None)
+            for x in range(16)
+            for y in range(16)
+        ]
+        oracle = PHTree(dims=2, width=16)
+        for key, value in items:
+            oracle.put(key, value)
+        with ShardedPHTree.build(
+            items, dims=2, width=16, shards=2, workers=1
+        ) as tree:
+            with start_trace() as trace:
+                results = tree.knn((30000, 30000), 5)
+            assert results == oracle.knn((30000, 30000), 5)
+            names = [s.name for s in trace.spans]
+            assert "fanout" in names
+            assert names.count("merge") == 1

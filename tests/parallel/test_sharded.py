@@ -197,3 +197,127 @@ class TestBatchedReads:
         )
         for lo, hi in _boxes(rng, 3, 10):
             assert tree.count(lo, hi) == len(tree.query(lo, hi))
+
+
+def _sq_dist(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def _knn_modes(tree, key, n):
+    """``tree.knn`` with observability off, on, and under a trace."""
+    from repro import obs
+    from repro.obs.span import start_trace
+
+    plain = tree.knn(key, n)
+    obs.enable()
+    try:
+        observed = tree.knn(key, n)
+    finally:
+        obs.disable()
+    with start_trace():
+        traced = tree.knn(key, n)
+    return plain, observed, traced
+
+
+def _tie_routers():
+    """A 4-shard prefix router and a 4-shard learned router with a
+    duplicate cut (shard 1 owns nothing) and an unaligned last cut, so
+    shard 2's bounding box overlaps shard 3's."""
+    from repro.learned.router import LearnedZRouter
+
+    return {
+        "prefix": "prefix",
+        "learned": LearnedZRouter(dims=2, width=4, cuts=[128, 128, 200]),
+    }
+
+
+class TestKnnTiesAndBounds:
+    """Cross-shard kNN with equidistant entries in different shards.
+
+    2-d, width 4.  The query (9, 5) lies in shard 2; the entry (11, 5)
+    there and (7, 5) in shard 0 are both at squared distance 4, which
+    is also shard 0's region distance.  So shard 2 is searched first,
+    its n-th best is 4, and shard 0 must still be searched (the bound
+    is inclusive) -- where (7, 5) wins the tie on z-order because
+    shard 0 precedes shard 2.  Shard 1 holds no entries.
+    """
+
+    QUERY = (9, 5)
+    NEAR = (11, 5)
+    TIE = (7, 5)
+    ENTRIES = [(9, 9), (3, 3), (13, 2), NEAR, TIE, (15, 15), (0, 7)]
+
+    @pytest.fixture(params=["prefix", "learned"])
+    def trees(self, request):
+        router = _tie_routers()[request.param]
+        entries = [(key, i) for i, key in enumerate(self.ENTRIES)]
+        sharded = ShardedPHTree.build(
+            entries, dims=2, width=4, shards=4, router=router
+        )
+        oracle = PHTree(dims=2, width=4)
+        for key, value in entries:
+            oracle.put(key, value)
+        return sharded, oracle
+
+    def test_scenario_preconditions(self, trees):
+        from repro.core.knn import squared_euclidean_region_int
+
+        sharded, _ = trees
+        router = sharded.router
+        region = squared_euclidean_region_int(self.QUERY)
+        near = router.shard_of(self.QUERY)
+        tie = router.shard_of(self.TIE)
+        assert router.shard_of(self.NEAR) == near
+        assert tie < near
+        assert region(*router.bounds(near)) == 0
+        tie_dist = _sq_dist(self.QUERY, self.TIE)
+        assert tie_dist == _sq_dist(self.QUERY, self.NEAR) == 4
+        assert region(*router.bounds(tie)) == tie_dist
+        assert 0 in sharded.shard_sizes().values()
+
+    def test_equidistant_lower_shard_wins_the_tie(self, trees):
+        sharded, oracle = trees
+        for result in _knn_modes(sharded, self.QUERY, 1):
+            assert result == oracle.knn(self.QUERY, 1)
+            assert result[0][0] == self.TIE
+
+    def test_every_n_matches_the_unsharded_tree(self, trees):
+        sharded, oracle = trees
+        size = len(oracle)
+        queries = [self.QUERY, (8, 8), (0, 0), (15, 0), (7, 12)]
+        for query in queries:
+            for n in (1, 3, size, size + 3):
+                expected = oracle.knn(query, n)
+                for result in _knn_modes(sharded, query, n):
+                    assert result == expected, (query, n)
+
+    def test_empty_tree_and_nonpositive_n(self):
+        for router in _tie_routers().values():
+            tree = ShardedPHTree(dims=2, width=4, shards=4, router=router)
+            for result in _knn_modes(tree, self.QUERY, 3):
+                assert result == []
+            assert tree.knn(self.QUERY, 0) == []
+
+
+@pytest.mark.parametrize("router", ["prefix", "learned"])
+def test_knn_matches_unsharded_on_tie_heavy_grids(router):
+    """Small domains make equidistant entries across shards common;
+    every n up to past the tree size must match, order included."""
+    rng = random.Random(17)
+    for dims, width, shards in [(1, 5, 4), (2, 3, 8), (2, 4, 4), (3, 3, 8)]:
+        top = (1 << width) - 1
+        keys = {
+            tuple(rng.randint(0, top) for _ in range(dims))
+            for _ in range(3 * shards)
+        }
+        entries = [(key, i) for i, key in enumerate(sorted(keys))]
+        sharded = ShardedPHTree.build(
+            entries, dims=dims, width=width, shards=shards, router=router
+        )
+        oracle = PHTree(dims=dims, width=width)
+        for key, value in entries:
+            oracle.put(key, value)
+        for _ in range(12):
+            query = tuple(rng.randint(0, top) for _ in range(dims))
+            for n in range(1, len(entries) + 4):
+                assert sharded.knn(query, n) == oracle.knn(query, n)

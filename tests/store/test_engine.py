@@ -159,6 +159,37 @@ def test_checkpoint_snapshots_live_shards(tmp_path):
         assert dict(store.items()) == items
 
 
+def test_close_while_a_segment_view_is_held(tmp_path):
+    """A caller holding a ``Segment.frozen`` must not make ``close()``
+    raise ``BufferError``: the store drops its references, the map is
+    released with the caller's last view, and the deferral is recorded."""
+    from repro.obs import recorder
+
+    db = tmp_path / "db"
+    items = _items(90)
+    with _open(db) as store:
+        store.put_all(list(items.items()))
+        store.checkpoint()
+    store = _open(db)
+    held = [seg.frozen for seg in store.segments if seg.frozen is not None]
+    assert held
+    before = recorder.get_recorder().seq
+    store.close()
+    assert store.closed
+    assert store.segments == []
+    deferred = [
+        detail
+        for seq, _, kind, detail in recorder.dump()
+        if kind == "segment_unmap_deferred" and seq > before
+    ]
+    assert len(deferred) == len(held)
+    # The held views still read the mapping they pinned.
+    assert sum(len(frozen) for frozen in held) == len(items)
+    with _open(db) as store:
+        assert dict(store.items()) == items
+    del held
+
+
 def test_orphan_files_are_garbage_collected(tmp_path):
     db = tmp_path / "db"
     items = _items(40)
