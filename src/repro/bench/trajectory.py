@@ -42,7 +42,13 @@ Measured (best of ``repeats`` runs each, CUBE-distributed integer keys):
   router vs the learned CDF router on prefix-skewed CLUSTER keys,
 - ``sharded_knn``: 10-NN on CLUSTER keys through an 8-shard
   learned-router ``ShardedPHTree`` against one unsharded ``PHTree``
-  (``sharded_knn_ratio`` is sharded time over unsharded time).
+  (``sharded_knn_ratio`` is sharded time over unsharded time),
+- ``point_read_layers``: one point read at each layer of an 8-shard
+  ``DurablePHTree`` reopened from its segments -- the shard tree's
+  ``get``, ``ShardedPHTree.get``, ``DurablePHTree.get`` and
+  ``get_many`` -- plus one uncontended ``ReadWriteLock`` read
+  (``point_read_durable_over_shard`` is the whole stack's cost over
+  the shard tree's).
 
 Derived speedups are the acceptance numbers: ``speedup_get_many`` /
 ``speedup_range_iter`` (batching and the iterative kernel against the
@@ -923,7 +929,7 @@ def run_trajectory(
             frozen_learned=frozen_learned,
             seek_boxes=seek_boxes,
         )
-    return _with_sharded_knn(report, scale, seed)
+    return _with_point_read_layers(_with_sharded_knn(report, scale, seed), scale, seed)
 
 
 def _with_sharded_knn(
@@ -999,6 +1005,163 @@ def _with_sharded_knn(
         sharded_knn_us_per_query=round(t_sharded * per_query, 4),
         unsharded_knn_us_per_query=round(t_unsharded * per_query, 4),
         sharded_knn_ratio=round(t_sharded / t_unsharded, 4),
+    )
+    return report
+
+
+def _point_read_candidates(
+    trees: List[Any],
+    live: Any,
+    store: Any,
+    lock: Any,
+    shard_of: Callable[[Tuple[int, ...]], int],
+    probes: List[Tuple[int, ...]],
+) -> List[Callable[[], None]]:
+    """The ``point_read_layers`` timings over ``probes``: the shard
+    tree's ``get``, ``ShardedPHTree.get``, ``DurablePHTree.get``,
+    ``DurablePHTree.get_many`` over 64-key batches and one uncontended
+    read-lock enter and exit per probe."""
+    routed = [(trees[shard_of(key)], key) for key in probes]
+    batches = [probes[i : i + 64] for i in range(0, len(probes), 64)]
+
+    def shard_get() -> None:
+        for tree, key in routed:
+            tree.get(key)
+
+    def sharded_get() -> None:
+        get = live.get
+        for key in probes:
+            get(key)
+
+    def durable_get() -> None:
+        get = store.get
+        for key in probes:
+            get(key)
+
+    def durable_get_many() -> None:
+        get_many = store.get_many
+        for batch in batches:
+            get_many(batch)
+
+    def read_lock() -> None:
+        for _ in probes:
+            with lock.read():
+                pass
+
+    return [shard_get, sharded_get, durable_get, durable_get_many, read_lock]
+
+
+def _with_point_read_layers(
+    report: Dict[str, Any], scale: str, seed: int
+) -> Dict[str, Any]:
+    """Add the ``point_read_layers`` record: one point read timed at
+    each layer of the durable stack over the same keys, 10% of them
+    absent.
+
+    A :class:`~repro.store.DurablePHTree` (8 shards) is written,
+    checkpointed and reopened in a temporary directory, so its shards
+    are recovered from segments as in the stack benchmark's
+    ``point-read`` workload.  Timed round-robin with
+    :func:`_best_group` over 256 probes at a time
+    (:func:`_point_read_candidates`): ``PHTree.get`` on the shard tree
+    that holds the key (no routing, no lock), ``ShardedPHTree.get`` on
+    the store's live tree, ``DurablePHTree.get``,
+    ``DurablePHTree.get_many`` per key over 64-key batches, and one
+    uncontended ``with ReadWriteLock.read()`` per probe; then one batch
+    whose per-shard groups exceed
+    :data:`~repro.parallel.sharded.GET_MANY_CUTOVER`.  Every layer's
+    answers are asserted equal before timing.
+    """
+    import shutil
+    import tempfile
+
+    from repro.core.concurrent import ReadWriteLock
+    from repro.core.serialize import U64ValueCodec
+    from repro.parallel.sharded import GET_MANY_CUTOVER
+    from repro.store.engine import DurablePHTree
+
+    params = SCALES[scale]
+    shards = 8
+    keys = _make_keys(params["n"], seed)
+    rng = make_rng(seed + 4)
+    present = set(keys)
+    n_absent = len(keys) // 10
+    probes = keys[: len(keys) - n_absent]
+    while len(probes) < len(keys):
+        key = tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))
+        if key not in present:
+            probes.append(key)
+    rng.shuffle(probes)
+    expected = {key: i for i, key in enumerate(keys)}
+    want = [expected.get(key) for key in probes]
+    batches = [probes[i : i + 64] for i in range(0, len(probes), 64)]
+    big = probes * -(-2 * shards * (GET_MANY_CUTOVER + 1) // len(probes))
+    root = tempfile.mkdtemp(prefix="repro-bench-point-")
+    try:
+        path = os.path.join(root, "store")
+        with DurablePHTree.open(
+            path, dims=DIMS, width=WIDTH, shards=shards,
+            value_codec=U64ValueCodec,
+        ) as store:
+            store.put_all(list(expected.items()))
+            store.checkpoint()
+        store = DurablePHTree.open(path, value_codec=U64ValueCodec)
+        try:
+            live = store.live
+            shard_of = live.router.shard_of
+            trees = [live._shards[i].unsafe_tree for i in range(shards)]
+            lock = ReadWriteLock()
+            assert [trees[shard_of(k)].get(k) for k in probes] == want
+            assert [live.get(key) for key in probes] == want
+            assert [store.get(key) for key in probes] == want
+            assert [v for b in batches for v in store.get_many(b)] == want
+            assert store.get_many(big) == want * (len(big) // len(probes))
+            # Timed 256 probes at a time, best of the round-robin per
+            # chunk, so a slow spell of the host spoils one chunk's
+            # rounds rather than every layer's whole pass.
+            totals = [0.0] * 5
+            for start in range(0, len(probes), 256):
+                candidates = _point_read_candidates(
+                    trees, live, store, lock, shard_of,
+                    probes[start : start + 256],
+                )
+                bests = _best_group(candidates, params["repeats"])
+                totals = [t + b for t, b in zip(totals, bests)]
+            t_shard, t_sharded, t_durable, t_many, t_lock = totals
+            t_big = _best(lambda: store.get_many(big), params["repeats"])
+        finally:
+            store.close()
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    per_probe = 1e6 / len(probes)
+    report["point_read_layers"] = {
+        "n_keys": len(keys),
+        "n_probes": len(probes),
+        "absent": n_absent,
+        "shards": shards,
+        "get_many_batch": 64,
+        "get_many_big_batch": len(big),
+        "get_many_cutover": GET_MANY_CUTOVER,
+        "note": (
+            "one point read at each layer over the same probes: the "
+            "shard tree's PHTree.get (no routing, no lock), "
+            "ShardedPHTree.get, DurablePHTree.get and get_many on a "
+            "store reopened from its segments; parity asserted before "
+            "timing; rwlock_read_us is one uncontended "
+            "with ReadWriteLock.read() enter plus exit"
+        ),
+    }
+    report["metrics"].update(
+        point_read_shard_get_us=round(t_shard * per_probe, 4),
+        point_read_sharded_get_us=round(t_sharded * per_probe, 4),
+        point_read_durable_get_us=round(t_durable * per_probe, 4),
+        point_read_get_many_us_per_key=round(t_many * per_probe, 4),
+        point_read_get_many_big_us_per_key=round(
+            t_big * 1e6 / len(big), 4
+        ),
+        point_read_durable_over_shard=round(t_durable / t_shard, 4),
+        point_read_get_many_over_get=round(t_many / t_durable, 4),
+        rwlock_read_us=round(t_lock * per_probe, 4),
     )
     return report
 

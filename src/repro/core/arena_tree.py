@@ -1205,6 +1205,17 @@ class ArenaPHTree(PHTree):
         vref = arena.entries[e + self._dims]
         return arena.values[vref]
 
+    def get_checked(self, key: Tuple[int, ...], default: Any = None) -> Any:
+        spec = self._spec
+        if spec is not None:
+            e = spec.arena_find(self, key)
+        else:
+            e = self._find_entry_off(key)
+        if e < 0:
+            return default
+        arena = self._arena
+        return arena.values[arena.entries[e + self._dims]]
+
     def contains(self, key: Sequence[int]) -> bool:
         spec = self._spec
         if spec is not None and not _rt.enabled:

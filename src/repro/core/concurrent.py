@@ -17,7 +17,7 @@ correctness.
 from __future__ import annotations
 
 import threading
-from time import monotonic
+from time import monotonic, sleep
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.obs import probes as _probes
@@ -59,6 +59,9 @@ class ReadWriteLock:
     read downgrade, write -> write) raise :class:`RuntimeError` instead
     of hanging.
 
+    A read while no writer holds or wants the lock takes no mutex (see
+    ``_readers`` in ``__init__``); the blocking paths are unchanged.
+
     >>> lock = ReadWriteLock()
     >>> with lock.read():
     ...     with lock.read():  # re-entrant: never deadlocks
@@ -67,6 +70,23 @@ class ReadWriteLock:
     ...     pass
     """
 
+    __slots__ = (
+        "_mutex",
+        "_readers_done",
+        "_readers",
+        "_writers",
+        "_writer_active",
+        "_writer_thread",
+        "_writers_waiting",
+        "_readers_waiting",
+        "_writer_batch",
+        "_max_writer_batch",
+        "_readers_turn",
+        "_local",
+        "_read_guard",
+        "_write_guard",
+    )
+
     def __init__(self, max_writer_batch: int = 8) -> None:
         if max_writer_batch < 1:
             raise ValueError(
@@ -74,7 +94,18 @@ class ReadWriteLock:
             )
         self._mutex = threading.Lock()
         self._readers_done = threading.Condition(self._mutex)
-        self._active_readers = 0
+        # One item per thread in shared mode, plus for an instant each
+        # reader that announces itself before looking for writers.  An
+        # uncontended reader appends and pops without the mutex: under
+        # the GIL a list append or pop is atomic, and all threads see
+        # one order of them and of the attribute reads around them.
+        self._readers: List[None] = []
+        # Writers waiting or active; changed under the mutex only.  A
+        # writer counts itself here before it looks at _readers, and a
+        # reader appends to _readers before it looks here, so of a
+        # reader and a writer arriving together at least one sees the
+        # other: the reader withdraws, or the writer waits.
+        self._writers = 0
         self._writer_active = False
         self._writer_thread: Optional[int] = None
         self._writers_waiting = 0
@@ -84,10 +115,13 @@ class ReadWriteLock:
         self._writer_batch = 0
         self._max_writer_batch = max_writer_batch
         self._readers_turn = False
+        # Per thread: a one-item list holding the read depth (updated
+        # in place, cheaper than rebinding a thread-local attribute).
         self._local = threading.local()
-
-    def _read_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
+        # The guards of untimed read()/write(), built once: entering a
+        # lock allocates nothing.
+        self._read_guard = _ReadGuard(self)
+        self._write_guard = _WriteGuard(self)
 
     def acquire_read(self, timeout: Optional[float] = None) -> None:
         """Enter shared mode; blocks while a writer is active/waiting
@@ -96,16 +130,40 @@ class ReadWriteLock:
         With ``timeout`` (seconds), gives up after the deadline and
         raises :class:`LockTimeout` instead of blocking forever.
         """
-        if self._read_depth():
-            self._local.depth += 1
+        try:
+            depth = self._local.depth
+        except AttributeError:
+            depth = self._local.depth = [0]
+        if depth[0]:
+            depth[0] += 1
             return
-        if self._writer_thread == threading.get_ident():
+        readers = self._readers
+        readers.append(None)
+        if self._writers:
+            # A writer holds or wants the lock: withdraw and queue.
+            readers.pop()
+            self._wait_read(timeout)
+        else:
+            # No writer can become active while this reader is listed,
+            # so nothing else updates the batch count meanwhile.
+            self._writer_batch = 0
+        depth[0] = 1
+
+    def _wait_read(self, timeout: Optional[float]) -> None:
+        """The blocking half of :meth:`acquire_read`: a writer holds or
+        waits for the lock."""
+        writer = self._writer_thread
+        if writer is not None and writer == threading.get_ident():
             raise RuntimeError(
                 "cannot acquire the read lock while holding the write "
                 "lock (downgrade is not supported)"
             )
         deadline = None if timeout is None else monotonic() + timeout
         with self._mutex:
+            if self._writers_waiting and not self._readers:
+                # A waiting writer may have seen the announcement this
+                # reader just withdrew.
+                self._readers_done.notify_all()
             self._readers_waiting += 1
             try:
                 while self._writer_active or (
@@ -135,26 +193,36 @@ class ReadWriteLock:
                     self._readers_done.notify_all()
                 raise
             self._readers_waiting -= 1
-            self._active_readers += 1
+            self._readers.append(None)
             self._writer_batch = 0
             if self._readers_turn and self._readers_waiting == 0:
                 # The whole waiting cohort is in; writers may queue again.
                 self._readers_turn = False
-        self._local.depth = 1
 
     def release_read(self) -> None:
-        """Leave shared mode (outermost release wakes writers)."""
-        depth = self._read_depth()
-        if depth == 0:
-            raise RuntimeError("release_read without acquire_read")
-        if depth > 1:
-            self._local.depth = depth - 1
+        """Leave shared mode.  The last reader out wakes a waiting
+        writer and yields the GIL to it."""
+        try:
+            depth = self._local.depth
+        except AttributeError:
+            depth = self._local.depth = [0]
+        if depth[0] > 1:
+            depth[0] -= 1
             return
-        self._local.depth = 0
-        with self._mutex:
-            self._active_readers -= 1
-            if self._active_readers == 0:
+        if not depth[0]:
+            raise RuntimeError("release_read without acquire_read")
+        depth[0] = 0
+        readers = self._readers
+        readers.pop()
+        # Only writers wait for the readers to drain; readers wait only
+        # while a writer is active or queued, so no wake-up is lost.
+        if not readers and self._writers_waiting:
+            with self._mutex:
                 self._readers_done.notify_all()
+            # Without the yield the woken writer runs only when the
+            # interpreter next switches threads (every 5 ms by default),
+            # and a reader looping back in queues behind it meanwhile.
+            sleep(0)
 
     def acquire_write(self, timeout: Optional[float] = None) -> None:
         """Enter exclusive mode; blocks until all readers leave.
@@ -166,18 +234,19 @@ class ReadWriteLock:
         me = threading.get_ident()
         if self._writer_thread == me:
             raise RuntimeError("the write lock is not re-entrant")
-        if self._read_depth():
+        if getattr(self._local, "depth", (0,))[0]:
             raise RuntimeError(
                 "cannot acquire the write lock while holding the read "
                 "lock (upgrade is not supported)"
             )
         deadline = None if timeout is None else monotonic() + timeout
         with self._mutex:
+            self._writers += 1
             self._writers_waiting += 1
             try:
                 while (
                     self._writer_active
-                    or self._active_readers
+                    or self._readers
                     or self._readers_turn
                 ):
                     if deadline is None:
@@ -200,6 +269,7 @@ class ReadWriteLock:
                 # Abandoned acquisition: readers may be queued behind
                 # this writer (they block while _writers_waiting > 0),
                 # so wake everyone to re-evaluate.
+                self._writers -= 1
                 self._writers_waiting -= 1
                 self._readers_done.notify_all()
                 raise
@@ -212,6 +282,7 @@ class ReadWriteLock:
         with self._mutex:
             self._writer_active = False
             self._writer_thread = None
+            self._writers -= 1
             if self._readers_waiting:
                 # One more writer went by with readers queued; at the
                 # bound, hand the next turn to the reader cohort.
@@ -220,39 +291,55 @@ class ReadWriteLock:
                     self._readers_turn = True
             else:
                 self._writer_batch = 0
-            self._readers_done.notify_all()
+            if self._readers_waiting or self._writers_waiting:
+                self._readers_done.notify_all()
 
-    def read(self, timeout: Optional[float] = None) -> "_Guard":
+    def read(self, timeout: Optional[float] = None) -> "_ReadGuard":
         """Context manager acquiring the lock in shared mode (raises
         :class:`LockTimeout` on entry when ``timeout`` expires)."""
         if timeout is None:
-            return _Guard(self.acquire_read, self.release_read)
-        return _Guard(
-            lambda: self.acquire_read(timeout), self.release_read
-        )
+            return self._read_guard
+        return _ReadGuard(self, timeout)
 
-    def write(self, timeout: Optional[float] = None) -> "_Guard":
+    def write(self, timeout: Optional[float] = None) -> "_WriteGuard":
         """Context manager acquiring the lock exclusively (raises
         :class:`LockTimeout` on entry when ``timeout`` expires)."""
         if timeout is None:
-            return _Guard(self.acquire_write, self.release_write)
-        return _Guard(
-            lambda: self.acquire_write(timeout), self.release_write
-        )
+            return self._write_guard
+        return _WriteGuard(self, timeout)
 
 
-class _Guard:
-    __slots__ = ("_acquire", "_release")
+class _ReadGuard:
+    """``with lock.read():``; the untimed one is built once per lock and
+    shared.  The lock's methods are looked up on every entry and exit,
+    never bound at construction, so a method replaced on the class (a
+    tracer's wrapper) applies to the shared guard too."""
 
-    def __init__(self, acquire, release) -> None:
-        self._acquire = acquire
-        self._release = release
+    __slots__ = ("_lock", "_timeout")
+
+    def __init__(
+        self, lock: ReadWriteLock, timeout: Optional[float] = None
+    ) -> None:
+        self._lock = lock
+        self._timeout = timeout
 
     def __enter__(self) -> None:
-        self._acquire()
+        self._lock.acquire_read(self._timeout)
 
-    def __exit__(self, *exc_info: object) -> None:
-        self._release()
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._lock.release_read()
+
+
+class _WriteGuard(_ReadGuard):
+    """``with lock.write():`` (see :class:`_ReadGuard`)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self._lock.acquire_write(self._timeout)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._lock.release_write()
 
 
 class SynchronizedPHTree:

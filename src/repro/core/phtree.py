@@ -447,6 +447,20 @@ class PHTree:
             return default
         return entry.value
 
+    def get_checked(self, key: Tuple[int, ...], default: Any = None) -> Any:
+        """:meth:`get` for a key already validated by this tree's checks
+        (a tuple of in-range ints), for a caller that checked it once
+        to route it: the descent alone, uncounted by the probes."""
+        root = self._root
+        if root is None:
+            return default
+        spec = self._spec
+        if spec is not None:
+            entry = spec.find_entry(root, key)
+        else:
+            entry = self._find_entry(key)
+        return default if entry is None else entry.value
+
     def contains(self, key: Sequence[int]) -> bool:
         """Point query (paper Section 3.5): does ``key`` exist?"""
         spec = self._spec

@@ -200,15 +200,28 @@ class PHTreeF:
                 total += d * d
             return total
 
-        return [
-            (decode_point(found_key), value)
-            for _, found_key, value in knn_mod.knn_iter(
-                self._tree.root,
+        tree = self._tree
+        if tree.layout == "arena":
+            # Best-first over the slabs; the object engine's ``root``
+            # would materialise a shadow copy of the whole tree.
+            found = knn_mod.arena_knn_iter(
+                tree,
                 n,
                 point_distance,
                 region_distance,
                 knn_mod.morton_tiebreak(64),
             )
+        else:
+            found = knn_mod.knn_iter(
+                tree.root,
+                n,
+                point_distance,
+                region_distance,
+                knn_mod.morton_tiebreak(64),
+            )
+        return [
+            (decode_point(found_key), value)
+            for _, found_key, value in found
         ]
 
     # -- maintenance --------------------------------------------------------

@@ -59,6 +59,12 @@ _MISSING = object()
 
 Key = Tuple[int, ...]
 
+#: :meth:`ShardedPHTree.get_many` answers a shard's group of at most this
+#: many keys key by key with the shard tree's ``get``, and a larger one
+#: with its batch engine, whose validation pass, z-sort and shared
+#: descent paths only pay off once enough keys share paths.
+GET_MANY_CUTOVER = 768
+
 
 class _TimedGuard:
     """Lock guard measuring acquisition wait into a histogram and
@@ -171,10 +177,23 @@ class ShardedPHTree:
             )
             for _ in range(shards - 1)
         ]
+        # The locks never change (recovery and re-sharding swap a
+        # shard's tree, under its write lock, never the lock itself).
+        self._locks = [locked.lock for locked in self._shards]
         self._router = router
         self._width_arg = width
         self._hc_mode = hc_mode
         self._check_key = proto._check_key
+        # Point reads check a key once, with the shard engine's fused
+        # check where it has one; what it declines goes to _check_key,
+        # which raises the sequential error (or accepts bool/int-subclass
+        # coordinates).
+        spec = proto.specialization
+        self._fast_check = (
+            spec.check_key
+            if spec is not None and proto._uniform
+            else proto._check_key
+        )
         self._generations: List[int] = [0] * shards
         self._workers = workers
         self._codec = value_codec
@@ -503,22 +522,45 @@ class ShardedPHTree:
     # -- point reads (live shard, shared lock) --------------------------------------
 
     def get(self, key: Sequence[int], default: Any = None) -> Any:
-        """Value stored at ``key`` or ``default``."""
-        key = self._check_key(key)
-        index = self._router.shard_of(key)
+        """Value stored at ``key`` or ``default``: one key check, one
+        route, the shard's read lock and the shard tree's checked-key
+        descent."""
+        if key.__class__ is not tuple:
+            key = tuple(key)  # once: a declined iterator stays readable
+        checked = self._fast_check(key)
+        if checked is None:
+            checked = self._check_key(key)
+        index = self._router.shard_of(checked)
         if _rt.enabled:
             with self._read_guard(index, "get"):
-                return self._shards[index].unsafe_tree.get(key, default)
-        return self._shards[index].get(key, default)
+                return self._shards[index].unsafe_tree.get(checked, default)
+        lock = self._locks[index]
+        lock.acquire_read()
+        try:
+            # The tree is read under the lock: recovery swaps it under
+            # the write lock.
+            return self._shards[index]._tree.get_checked(checked, default)
+        finally:
+            lock.release_read()
 
     def contains(self, key: Sequence[int]) -> bool:
-        """Point query."""
-        key = self._check_key(key)
-        index = self._router.shard_of(key)
+        """Point query (the same path as :meth:`get`)."""
+        if key.__class__ is not tuple:
+            key = tuple(key)
+        checked = self._fast_check(key)
+        if checked is None:
+            checked = self._check_key(key)
+        index = self._router.shard_of(checked)
         if _rt.enabled:
             with self._read_guard(index, "contains"):
-                return self._shards[index].unsafe_tree.contains(key)
-        return self._shards[index].contains(key)
+                return self._shards[index].unsafe_tree.contains(checked)
+        lock = self._locks[index]
+        lock.acquire_read()
+        try:
+            tree = self._shards[index]._tree
+            return tree.get_checked(checked, _MISSING) is not _MISSING
+        finally:
+            lock.release_read()
 
     def __contains__(self, key: Sequence[int]) -> bool:
         return self.contains(key)
@@ -526,25 +568,52 @@ class ShardedPHTree:
     def get_many(
         self, keys: "Sequence[Sequence[int]]", default: Any = None
     ) -> List[Any]:
-        """Batched ``get``: routed per shard, answered by each shard's
-        batch engine under one read lock, in input order."""
-        checked = [self._check_key(key) for key in keys]
-        grouped: Dict[int, List[int]] = {}
-        for position, key in enumerate(checked):
-            grouped.setdefault(self._router.shard_of(key), []).append(
-                position
-            )
-        results: List[Any] = [default] * len(checked)
-        for index in sorted(grouped):
-            positions = grouped[index]
-            locked = self._shards[index]
+        """Batched ``get``, in input order: keys are checked once and
+        grouped by shard, and each group is answered under one read lock,
+        key by key with the shard tree's ``get`` up to
+        :data:`GET_MANY_CUTOVER` keys and by its batch engine
+        (``get_many``) above."""
+        check = self._fast_check
+        shard_of = self._router.shard_of
+        # Shard -> (input positions, checked keys).
+        groups: Dict[int, Tuple[List[int], List[Key]]] = {}
+        group_of = groups.get
+        position = -1
+        for position, key in enumerate(keys):
+            if key.__class__ is not tuple:
+                key = tuple(key)
+            checked = check(key)
+            if checked is None:
+                checked = self._check_key(key)
+            index = shard_of(checked)
+            group = group_of(index)
+            if group is None:
+                group = groups[index] = ([], [])
+            group[0].append(position)
+            group[1].append(checked)
+        results: List[Any] = [default] * (position + 1)
+        for index in sorted(groups):
+            positions, group_keys = groups[index]
             with self._read_guard(index, "get_many"):
-                values = locked.unsafe_tree.get_many(
-                    [checked[p] for p in positions], default
-                )
+                tree = self._shards[index].unsafe_tree
+                # Instrumented runs always take the batch engine, so its
+                # counters keep their meaning.
+                if _rt.enabled or len(group_keys) > GET_MANY_CUTOVER:
+                    values = tree.get_many(group_keys, default)
+                else:
+                    get = tree.get
+                    values = [get(key, default) for key in group_keys]
             for position, value in zip(positions, values):
                 results[position] = value
         return results
+
+    def contains_many(self, keys: "Sequence[Sequence[int]]") -> List[bool]:
+        """Batched ``contains``, in input order (the :meth:`get_many`
+        path)."""
+        return [
+            value is not _MISSING
+            for value in self.get_many(keys, _MISSING)
+        ]
 
     # -- window queries -----------------------------------------------------------
 
@@ -680,7 +749,11 @@ class ShardedPHTree:
 
         Shards are visited in ascending region distance and skipped once
         their region lower bound exceeds the current ``n``-th best
-        distance.  Each later shard is searched only up to that
+        distance.  Among shards at the same region distance the shard
+        that owns the query key goes first: learned z-cuts make boxes
+        overlap, so several shards can lie at distance 0, and the owner
+        is the one most likely to hold the nearest entries and to set a
+        tight bound.  Each later shard is searched only up to that
         distance; the bound is inclusive, because an equidistant entry
         in a lower-indexed shard still wins its z-order tie.  Shards
         are ascending z-intervals and each returns its candidates in
@@ -711,9 +784,11 @@ class ShardedPHTree:
             shard_dist = [
                 region_dist(*bounds(s)) for s in range(self.n_shards)
             ]
+            own = self._router.shard_of(key)
             bound: Optional[int] = None
             for index in sorted(
-                range(self.n_shards), key=shard_dist.__getitem__
+                range(self.n_shards),
+                key=lambda s: (shard_dist[s], s != own, s),
             ):
                 if bound is not None and shard_dist[index] > bound:
                     break

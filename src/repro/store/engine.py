@@ -986,7 +986,7 @@ class DurablePHTree:
         return self._live.get_many(keys, default)
 
     def contains_many(self, keys: Sequence[Sequence[int]]) -> List[bool]:
-        return [self._live.contains(key) for key in keys]
+        return self._live.contains_many(keys)
 
     def query(
         self, lower: Sequence[int], upper: Sequence[int]

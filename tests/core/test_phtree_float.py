@@ -142,6 +142,41 @@ class TestKnnFloat:
         want = sorted(values, key=lambda v: abs(v - 0.5))[:3]
         assert [k[0] for k, _ in got] == want
 
+    def test_arena_knn_searches_the_slabs(self, monkeypatch):
+        """On the arena layout a float kNN runs the slab search: it never
+        reads ``ArenaPHTree.root`` (which materialises a shadow copy of
+        the whole tree), and it answers exactly like the object layout,
+        infinities and signed zeros included."""
+        from repro import PHTree
+        from repro.core.arena_tree import ArenaPHTree
+
+        arena = PHTreeF.from_int_tree(PHTree(dims=3, width=64, layout="arena"))
+        objects = PHTreeF.from_int_tree(
+            PHTree(dims=3, width=64, layout="object")
+        )
+        rng = random.Random(23)
+        specials = [0.0, -0.0, 1.5, math.inf, -math.inf]
+        for i in range(600):
+            point = tuple(
+                rng.choice(specials) if rng.random() < 0.2
+                else rng.uniform(-50, 50)
+                for _ in range(3)
+            )
+            arena.put(point, i)
+            objects.put(point, i)
+
+        def no_shadow(self):
+            raise AssertionError("float kNN read ArenaPHTree.root")
+
+        monkeypatch.setattr(ArenaPHTree, "root", property(no_shadow))
+        for _ in range(60):
+            query = tuple(
+                rng.choice([rng.uniform(-60, 60), math.inf, 0.0])
+                for _ in range(3)
+            )
+            n = rng.randrange(0, 12)
+            assert arena.knn(query, n) == objects.knn(query, n), query
+
 
 class TestPropertyRoundTrip:
     @given(
