@@ -12,14 +12,16 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Correctness harness: fixed-seed differential fuzz across the engine
-# matrix plus the parallel-layer fault drill (the CI fuzz-smoke job).
+# matrix (the CI fuzz-smoke job also runs `check --faults`: the
+# lock-timeout drill plus the disk kinds).
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --seed 0 --ops 4000 --dims 2,6,14
 
 # Durable-store battery: the store unit suite (incl. the torn-WAL corpus
 # and the 100+-point crash-offset sweep), durable differential fuzz legs
 # with and without learned trailers, and the seeded kill-during-flush/
-# compaction drills (the CI durability-smoke job).
+# compaction and torn-WAL drills (the CI durability-smoke job); then
+# `check --faults`, every drill kind: lock-timeout plus the disk kinds.
 durable-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/store -q
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --durable --learned --seed 0 --ops 1500 --dims 2,6

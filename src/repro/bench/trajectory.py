@@ -25,9 +25,6 @@ Measured (best of ``repeats`` runs each, CUBE-distributed integer keys):
   kernel (see :mod:`repro.core.specialize`),
 - ``query_many``: the batched window engine over the same boxes,
 - ``knn``: 10-nearest-neighbour queries,
-- ``sharded_query``: the same box batch through the sharded snapshot
-  engine's process-pool fan-out with 1 vs 4 workers (the recorded
-  ``cpu_count`` says how much hardware parallelism was available),
 - ``*_arena``: the flat-buffer arena engine (``layout="arena"``) run
   over the same workloads -- insert, delete, point (sequential and
   batched), window queries and ``freeze()`` -- against the object
@@ -629,30 +626,11 @@ def run_trajectory(
     prefix_imbalance = imbalance(prefix_router)
     learned_imbalance = imbalance(learned_router)
 
-    # -- sharded fan-out: snapshot engine, 1 vs 4 workers ----------------
-    from repro.core.serialize import U64ValueCodec
-    from repro.parallel import ShardedPHTree
-
-    workers_hi = 4
-    expected_many = tree.query_many(boxes)
-    with ShardedPHTree.build(
-        list(zip(keys, values)),
-        dims=DIMS,
-        width=WIDTH,
-        shards=8,
-        workers=1,
-        value_codec=U64ValueCodec,
-    ) as sharded:
-        assert sharded.query_many(boxes) == expected_many
-        t_shard_1 = _best(lambda: sharded.query_many(boxes), repeats)
-        sharded.set_workers(workers_hi)
-        assert sharded.query_many(boxes) == expected_many
-        t_shard_hi = _best(lambda: sharded.query_many(boxes), repeats)
-
     # -- durable store: WAL append throughput + crash recovery -----------
     import shutil
     import tempfile
 
+    from repro.core.serialize import U64ValueCodec
     from repro.store.engine import DurablePHTree
 
     store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
@@ -772,9 +750,6 @@ def run_trajectory(
         "speedup_spec_point": t_point_seq_generic / t_point_seq,
         "speedup_spec_window": t_range_kernel / t_range_spec,
         "speedup_bulk_load_vs_insert": t_insert / t_bulk,
-        "sharded_query_1w_us_per_entry": t_shard_1 * 1e6 / n_returned,
-        "sharded_query_4w_us_per_entry": t_shard_hi * 1e6 / n_returned,
-        "speedup_sharded_4w": t_shard_1 / t_shard_hi,
         # Arena engine (layout="arena") on the same workloads; the
         # speedup_arena_* records are object-time / arena-time, so 1.0
         # means parity and the acceptance floor is 0.9.
@@ -849,20 +824,6 @@ def run_trajectory(
                 "repro.core.specialize; the *_generic and range_kernel "
                 "records time the pre-specialization engines on the "
                 "same data"
-            ),
-        },
-        "sharded_query": {
-            "shards": 8,
-            "workers_low": 1,
-            "workers_high": workers_hi,
-            "cpu_count": os.cpu_count(),
-            "t_workers_1_s": round(t_shard_1, 6),
-            "t_workers_4_s": round(t_shard_hi, 6),
-            "speedup": round(t_shard_1 / t_shard_hi, 4),
-            "note": (
-                "process-pool fan-out over frozen shard snapshots in "
-                "shared memory; the speedup tracks cpu_count -- on a "
-                "single-core host it is ~1.0 by construction"
             ),
         },
         "learned_index": dict(

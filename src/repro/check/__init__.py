@@ -9,9 +9,10 @@ Three pillars (DESIGN.md §10):
   lockstep with a sorted-dict reference model, shrinking failures to a
   minimal paste-able repro,
 - :mod:`repro.check.faults` -- fault injection for the parallel stack
-  (worker death, publish failures, shared-memory detach errors, slow
-  readers) proving reads degrade gracefully and telemetry counts every
-  injected fault.
+  (a reader camping on a shard lock) and the durable store (SIGKILL
+  mid-flush or mid-compaction, torn WAL tails), proving bounded waits
+  fail cleanly, recovery restores the durable contents, and telemetry
+  counts every injected fault.
 
 Operable via ``python -m repro.tool check`` (see ``--validate``,
 ``--fuzz`` and ``--faults``).

@@ -1,17 +1,9 @@
-"""Fault injection for the parallel stack.
+"""Fault injection for the parallel stack and the durable store.
 
-Each injector is a context manager planting one infrastructure fault at
-a real seam of :mod:`repro.parallel`:
-
-- :func:`publish_failures` -- shared-memory *allocation* fails while a
-  shard snapshot is being published (arena exhausted, permission
-  denied),
-- :func:`unlink_failures` -- *discarding* a superseded segment fails
-  (raced unlink, platform reclaim),
-- :func:`kill_one_worker` -- a pool worker dies mid-flight (OOM kill),
-- :func:`slow_reader` -- a reader camps on a shard's lock, exercising
-  writer timeouts (:class:`~repro.core.concurrent.LockTimeout`) and the
-  bounded-batching fairness path.
+:func:`slow_reader` plants the one in-process fault: a reader camps on
+a shard's lock, exercising writer timeouts
+(:class:`~repro.core.concurrent.LockTimeout`) and the bounded-batching
+fairness path (the ``lock-timeout`` kind).
 
 The durable store adds the disk fault class (``disk-*`` kinds):
 
@@ -24,10 +16,9 @@ The durable store adds the disk fault class (``disk-*`` kinds):
 - ``disk-torn-wal`` -- the WAL tail is truncated at a seeded offset and
   a byte is flipped; recovery must land on a clean op-stream prefix.
 
-The contract under every fault: reads keep returning *correct* results
-(degrading to the live in-process engine) or raise a clean typed error,
-and the matching :mod:`repro.obs.probes` counter moves; after a disk
-fault, recovery restores exactly the durable contents.
+The contract under every fault: a bounded wait fails with a clean typed
+error and the matching :mod:`repro.obs.probes` counter moves; after a
+disk fault, recovery restores exactly the durable contents.
 :func:`run_fault_drill` drives every scenario end-to-end (the
 ``repro.tool check --faults`` verb) and reports the observed
 result/counter for each; ``kinds`` selects a subset.
@@ -38,11 +29,9 @@ from __future__ import annotations
 import os
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.core.concurrent import LockTimeout
 from repro.obs import probes as _probes
@@ -53,20 +42,12 @@ __all__ = [
     "DISK_FAULTS",
     "FaultOutcome",
     "PARALLEL_FAULTS",
-    "kill_one_worker",
-    "publish_failures",
     "run_fault_drill",
     "slow_reader",
-    "unlink_failures",
 ]
 
 #: Drill scenarios against the live parallel stack.
-PARALLEL_FAULTS = (
-    "publish-failure",
-    "worker-death",
-    "unlink-failure",
-    "lock-timeout",
-)
+PARALLEL_FAULTS = ("lock-timeout",)
 
 #: Drill scenarios against the durable store's crash contract.
 DISK_FAULTS = (
@@ -79,114 +60,6 @@ DISK_FAULTS = (
 # ---------------------------------------------------------------------------
 # Injectors
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def publish_failures(count: int = 1) -> Iterator[Dict[str, int]]:
-    """Make the next ``count`` snapshot *publications* fail.
-
-    Patches the ``shared_memory`` module binding inside
-    :mod:`repro.parallel.executor` with a proxy whose
-    ``SharedMemory(create=True, ...)`` raises :class:`OSError`;
-    attach-side calls (no ``create``) pass through untouched.  Worker
-    processes import the real module and are unaffected -- exactly the
-    parent-side allocation seam.
-
-    Yields a state dict; ``state["remaining"]`` counts down as failures
-    are consumed.
-    """
-    from repro.parallel import executor as executor_mod
-
-    real = executor_mod.shared_memory
-    state = {"remaining": count}
-
-    def _shared_memory(*args: Any, **kwargs: Any) -> Any:
-        if kwargs.get("create") and state["remaining"] > 0:
-            state["remaining"] -= 1
-            _recorder.record(
-                "fault_injected", fault="publish_failure"
-            )
-            raise OSError(28, "injected: no space left on device")
-        return real.SharedMemory(*args, **kwargs)
-
-    executor_mod.shared_memory = SimpleNamespace(
-        SharedMemory=_shared_memory
-    )
-    try:
-        yield state
-    finally:
-        executor_mod.shared_memory = real
-
-
-@contextmanager
-def unlink_failures(
-    pool: Any, count: int = 1
-) -> Iterator[Dict[str, Any]]:
-    """Make the next ``count`` snapshot-segment *unlinks* fail.
-
-    Wraps ``segment.unlink`` on every currently published snapshot of
-    ``pool`` (a :class:`~repro.parallel.executor.SnapshotPool`) so the
-    discard path hits its error handler.  On exit the wrappers are
-    removed and any segment whose unlink was suppressed is really
-    unlinked, so no shared memory leaks out of the test.
-    """
-    snapshots = [s for s in pool._snapshots if s is not None]
-    state: Dict[str, Any] = {"remaining": count, "suppressed": []}
-    patched: List[Tuple[Any, Any]] = []
-    for snapshot in snapshots:
-        segment = snapshot.segment
-        original = segment.unlink
-
-        def _unlink(original: Any = original) -> None:
-            if state["remaining"] > 0:
-                state["remaining"] -= 1
-                state["suppressed"].append(original)
-                _recorder.record(
-                    "fault_injected", fault="unlink_failure"
-                )
-                raise OSError(13, "injected: unlink denied")
-            original()
-
-        segment.unlink = _unlink
-        patched.append((segment, original))
-    try:
-        yield state
-    finally:
-        for segment, _original in patched:
-            segment.__dict__.pop("unlink", None)
-        for original in state["suppressed"]:
-            try:
-                original()
-            except FileNotFoundError:
-                pass
-
-
-def kill_one_worker(pool: Any, timeout_s: float = 10.0) -> int:
-    """SIGKILL one live worker process of ``pool``'s executor; returns
-    the dead pid.  The next fan-out observes a broken pool -- the
-    executor layer must convert that into
-    :class:`~repro.parallel.errors.SnapshotReadError` and recycle the
-    pool.
-    """
-    executor = pool._pool()  # starts the pool if not yet running
-    processes = list(executor._processes.values())
-    if not processes:
-        # Workers spawn lazily on first submit; force one.
-        executor.submit(int).result()
-        processes = list(executor._processes.values())
-    if not processes:  # pragma: no cover - defensive
-        raise RuntimeError("no worker processes to kill")
-    victim = processes[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    _recorder.record(
-        "fault_injected", fault="worker_killed", pid=victim.pid
-    )
-    deadline = time.monotonic() + timeout_s
-    while victim.is_alive():
-        if time.monotonic() > deadline:  # pragma: no cover
-            raise RuntimeError(f"worker {victim.pid} did not die")
-        time.sleep(0.01)
-    return victim.pid
 
 
 @contextmanager
@@ -272,10 +145,8 @@ def run_fault_drill(
         )
     outcomes: List[FaultOutcome] = []
     wanted = set(selected)
-    if wanted.intersection(PARALLEL_FAULTS):
-        outcomes.extend(
-            _run_parallel_drills(dims, width, entries, wanted)
-        )
+    if "lock-timeout" in wanted:
+        outcomes.append(_lock_timeout_drill(dims, width))
     if "disk-flush-kill" in wanted:
         outcomes.append(
             _disk_kill_drill("flush", dims, width, entries, seed)
@@ -289,135 +160,38 @@ def run_fault_drill(
     return outcomes
 
 
-def _run_parallel_drills(
-    dims: int, width: int, entries: int, wanted: Any
-) -> List[FaultOutcome]:
-    """The four parallel-stack scenarios (shared live tree + pool)."""
-    import random
-
+def _lock_timeout_drill(dims: int, width: int) -> FaultOutcome:
+    """A reader camps on a shard's read lock; a bounded writer times out
+    cleanly (and is counted) instead of hanging, and the same write
+    succeeds once the reader leaves."""
     from repro.parallel.sharded import ShardedPHTree
 
-    rng = random.Random(20140623)
-    limit = 1 << width
-    data = [
-        tuple(rng.randrange(limit) for _ in range(dims))
-        for _ in range(entries)
-    ]
-    box_lo = (0,) * dims
-    box_hi = (limit - 1,) * dims
-    outcomes: List[FaultOutcome] = []
     obs_before = _rt.enabled
     _rt.enable()
-    tree = ShardedPHTree(dims=dims, width=width, shards=4, workers=2)
     try:
-        for key in data:
-            tree.put(key, None)
-        expected = tree._query_live(
-            range(tree.n_shards), box_lo, box_hi
+        tree = ShardedPHTree(dims=dims, width=width, shards=4)
+        before = _counter_value(_probes.lock_timeouts.labels("write"))
+        timed_out = False
+        with slow_reader(tree, shard=0):
+            try:
+                with tree._shards[0].lock.write(timeout=0.05):
+                    pass  # pragma: no cover - reader holds the lock
+            except LockTimeout:
+                timed_out = True
+        moved = (
+            _counter_value(_probes.lock_timeouts.labels("write")) - before
         )
-
-        # 1. Publish failure: allocation dies; the read degrades to the
-        #    live engine with identical results.
-        if "publish-failure" in wanted:
-            before = _counter_value(_probes.snapshot_publish_failures)
-            with publish_failures(count=1):
-                result = tree.query(box_lo, box_hi)
-            moved = (
-                _counter_value(_probes.snapshot_publish_failures) - before
-            )
-            outcomes.append(
-                FaultOutcome(
-                    "publish-failure",
-                    result == expected and moved >= 1,
-                    f"live fallback correct={result == expected}, "
-                    f"snapshot_publish_failures +{moved:g}",
-                    events=_recorder.dump(last=32),
-                )
-            )
-
-        # 2. Worker death: a broken pool is detected, typed, counted,
-        #    recycled -- and the answer is still exactly right.
-        if "worker-death" in wanted:
-            tree.query(box_lo, box_hi)  # publish snapshots, start pool
-            pool = tree._snapshot_pool()
-            before = _counter_value(
-                _probes.fanout_failures.labels("query")
-            )
-            pid = kill_one_worker(pool)
-            result = tree.query(box_lo, box_hi)
-            moved = (
-                _counter_value(_probes.fanout_failures.labels("query"))
-                - before
-            )
-            recovered = tree.query(box_lo, box_hi)  # fresh pool fan-out
-            outcomes.append(
-                FaultOutcome(
-                    "worker-death",
-                    result == expected
-                    and recovered == expected
-                    and moved >= 1,
-                    f"killed pid {pid}; fallback correct="
-                    f"{result == expected}, recovered pool correct="
-                    f"{recovered == expected}, fanout_failures +{moved:g}",
-                    events=_recorder.dump(last=32),
-                )
-            )
-
-        # 3. Unlink failure: discarding a superseded snapshot fails; the
-        #    refresh survives, the error is counted.
-        if "unlink-failure" in wanted:
-            tree.put(data[0], None)  # bump a generation: stale snapshot
-            expected = tree._query_live(
-                range(tree.n_shards), box_lo, box_hi
-            )
-            before = _counter_value(_probes.snapshot_discard_errors)
-            with unlink_failures(tree._snapshot_pool(), count=1):
-                tree.refresh_snapshots()
-            moved = (
-                _counter_value(_probes.snapshot_discard_errors) - before
-            )
-            result = tree.query(box_lo, box_hi)
-            outcomes.append(
-                FaultOutcome(
-                    "unlink-failure",
-                    result == expected and moved >= 1,
-                    f"refresh survived, results correct="
-                    f"{result == expected}, "
-                    f"snapshot_discard_errors +{moved:g}",
-                    events=_recorder.dump(last=32),
-                )
-            )
-
-        # 4. Slow reader: a camped read lock; a bounded writer times out
-        #    cleanly (and is counted) instead of hanging.
-        if "lock-timeout" in wanted:
-            before = _counter_value(_probes.lock_timeouts.labels("write"))
-            timed_out = False
-            with slow_reader(tree, shard=0):
-                try:
-                    with tree._shards[0].lock.write(timeout=0.05):
-                        pass  # pragma: no cover - reader holds the lock
-                except LockTimeout:
-                    timed_out = True
-            moved = (
-                _counter_value(_probes.lock_timeouts.labels("write"))
-                - before
-            )
-            # After the reader leaves, the same write must succeed.
-            with tree._shards[0].lock.write(timeout=1.0):
-                pass
-            outcomes.append(
-                FaultOutcome(
-                    "lock-timeout",
-                    timed_out and moved >= 1,
-                    f"writer timed out cleanly={timed_out}, "
-                    f"lock_timeouts +{moved:g}, lock usable afterwards",
-                    events=_recorder.dump(last=32),
-                )
-            )
-        return outcomes
+        # After the reader leaves, the same write must succeed.
+        with tree._shards[0].lock.write(timeout=1.0):
+            pass
+        return FaultOutcome(
+            "lock-timeout",
+            timed_out and moved >= 1,
+            f"writer timed out cleanly={timed_out}, "
+            f"lock_timeouts +{moved:g}, lock usable afterwards",
+            events=_recorder.dump(last=32),
+        )
     finally:
-        tree.close()
         if obs_before:
             _rt.enable()
         else:

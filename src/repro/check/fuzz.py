@@ -471,7 +471,6 @@ def _build_subjects(
         dims=config.dims,
         width=config.width,
         shards=config.shards,
-        workers=0,
     )
     subjects = [
         ("generic", generic),
@@ -488,7 +487,6 @@ def _build_subjects(
                     dims=config.dims,
                     width=config.width,
                     shards=config.shards,
-                    workers=0,
                     router="learned",
                 ),
             )

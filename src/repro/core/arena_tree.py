@@ -983,6 +983,10 @@ class ArenaPHTree(PHTree):
         self._mut_epoch += 1
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            # Read a non-tuple key once, as PHTree's fast paths do, so a
+            # key the generated check declines reaches _check_key whole.
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -1182,6 +1186,8 @@ class ArenaPHTree(PHTree):
         spec = self._spec
         arena = self._arena
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -1219,6 +1225,8 @@ class ArenaPHTree(PHTree):
     def contains(self, key: Sequence[int]) -> bool:
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -1236,6 +1244,8 @@ class ArenaPHTree(PHTree):
         self._mut_epoch += 1
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -1528,6 +1538,8 @@ class ArenaPHTree(PHTree):
     ) -> List[Tuple[Tuple[int, ...], Any]]:
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)

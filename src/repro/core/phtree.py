@@ -272,6 +272,9 @@ class PHTree:
     # declines -- invalid keys (raising the exact sequential error) but
     # also accepted corner cases the fast check does not claim (bool
     # coordinates, int subclasses, non-uniform per-dimension widths).
+    # A non-tuple key is read into a tuple first, once, so a key the
+    # check declines is still whole when _check_key reads it (an
+    # iterator would otherwise arrive empty).
 
     # -- point operations (paper Sections 3.5-3.6) --------------------------
 
@@ -289,6 +292,8 @@ class PHTree:
             # by the property tests).  Observability-enabled calls take
             # the generic instrumented path so probe counts are
             # unchanged.
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -425,6 +430,8 @@ class PHTree:
         """Return the value stored for ``key``, or ``default``."""
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)
@@ -465,6 +472,8 @@ class PHTree:
         """Point query (paper Section 3.5): does ``key`` exist?"""
         spec = self._spec
         if spec is not None and not _rt.enabled:
+            if key.__class__ is not tuple:
+                key = tuple(key)
             checked = spec.check_key(key) if self._uniform else None
             if checked is None:
                 checked = self._check_key(key)

@@ -7,7 +7,7 @@ already produces:
   error piecewise-linear model from z-address to frozen-stream entry
   rank (FITing-Tree's shrinking cone), serialised as an optional
   trailer of the frozen byte format and attached zero-copy by
-  :class:`repro.core.frozen.FrozenPHTree` and snapshot-pool workers.
+  :class:`repro.core.frozen.FrozenPHTree`.
 - :mod:`repro.learned.cdf` / :mod:`repro.learned.router` -- a z-space
   CDF model producing skew-aware equi-mass shard cuts, the learned
   replacement for :class:`repro.parallel.router.ZShardRouter`'s fixed

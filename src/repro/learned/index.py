@@ -17,9 +17,8 @@ read the value bits* -- no descent -- and a window query becomes
 Everything is serialised as one trailer blob (:meth:`to_trailer`)
 appended after the frozen node stream, and re-attached **zero-copy**
 (:meth:`from_buffer`): the big arrays stay ``memoryview`` casts into
-the caller's buffer (a ``bytes`` object or a shared-memory segment),
-so :class:`~repro.parallel.executor.SnapshotPool` workers pay O(1) to
-pick the model up.
+the caller's buffer (a ``bytes`` object or a memory-mapped segment
+file), so attaching the model costs O(1).
 
 Trailer layout (all fields native-endian, starting 8-byte aligned)::
 

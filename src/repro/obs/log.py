@@ -9,9 +9,10 @@ logger:
 ====== =========== =====================================================
 flags  level       what you see
 ====== =========== =====================================================
-(none) WARNING     only problems (e.g. snapshot discard failures)
--v     INFO        lifecycle events (pool start/stop, republish counts)
--vv    DEBUG       per-shard republish/attach detail
+(none) WARNING     only problems
+-v     INFO        lifecycle events (store recovery, the workload a
+                   verb drives)
+-vv    DEBUG       finer detail, where a module emits it
 ====== =========== =====================================================
 """
 

@@ -194,51 +194,12 @@ shard_lock_wait = registry.histogram(
 shard_lock_wait_read = shard_lock_wait.labels("read")
 shard_lock_wait_write = shard_lock_wait.labels("write")
 
-# -- snapshot pool (parallel/executor.py) ----------------------------------
+# -- freeze (core/frozen.py) -----------------------------------------------
 
-snapshot_republish = registry.counter(
-    "repro_snapshot_republish_total",
-    "Shard snapshots (re)published into shared memory.",
-)
-snapshot_stale_invalidations = registry.counter(
-    "repro_snapshot_stale_invalidations_total",
-    "Superseded snapshots discarded because the shard generation moved.",
-)
-snapshot_discard_errors = registry.counter(
-    "repro_snapshot_discard_errors_total",
-    "Errors while unlinking superseded snapshot segments (logged and "
-    "survived).",
-)
-snapshot_bytes = registry.gauge(
-    "repro_snapshot_bytes",
-    "Bytes currently published across all shard snapshots.",
-)
 freeze_arena_fast = registry.counter(
     "repro_freeze_arena_fast_total",
     "freeze() calls that serialised straight from arena slabs (no "
     "per-node object materialisation).",
-)
-fanout_tasks = registry.counter(
-    "repro_fanout_tasks_total",
-    "Per-shard tasks submitted to the snapshot process pool.",
-    labelnames=("op",),
-)
-fanout_latency = registry.histogram(
-    "repro_fanout_latency_seconds",
-    "Wall time of one fan-out (submit to last result), by operation.",
-    labelnames=("op",),
-    buckets=LATENCY_BUCKETS_S,
-)
-fanout_failures = registry.counter(
-    "repro_fanout_failures_total",
-    "Fan-outs aborted by a worker or pool failure (the owning tree "
-    "falls back to the live in-process engine).",
-    labelnames=("op",),
-)
-snapshot_publish_failures = registry.counter(
-    "repro_snapshot_publish_failures_total",
-    "Failed attempts to publish a shard snapshot into shared memory "
-    "(allocation or copy errors; reads fall back to the live engine).",
 )
 
 # -- learned index (repro/learned + core/frozen.py) ------------------------

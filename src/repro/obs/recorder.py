@@ -2,9 +2,9 @@
 
 The correctness harness (``repro.check``) can tell you *that* a drill
 went red; this module remembers *what happened just before*.  A
-:class:`FlightRecorder` keeps the last N structured events -- snapshot
-republishes, plan-cache invalidations, HC<->LHC switches, splits and
-merges, lock timeouts, injected faults -- in a fixed-size
+:class:`FlightRecorder` keeps the last N structured events -- store
+flushes and recoveries, plan-cache invalidations, HC<->LHC switches,
+splits and merges, lock timeouts, injected faults -- in a fixed-size
 :class:`collections.deque`, so a failing fuzz run or fault drill can
 dump its tail as context.
 
@@ -13,9 +13,9 @@ Cost model, in order of how often each tier fires:
 1. **Hot-path events** (op begin/end, split/merge, representation
    switches) are recorded only from code that already sits behind a
    ``runtime.enabled`` check, so the disabled path pays nothing.
-2. **Rare structural events** (republish, publish failure, pool
-   recycle, plan-cache invalidation, lock timeout, fault injection)
-   are recorded unconditionally -- they happen a handful of times per
+2. **Rare structural events** (store flush, compaction and recovery,
+   plan-cache invalidation, lock timeout, fault injection) are
+   recorded unconditionally -- they happen a handful of times per
    process, and they are exactly the events a post-mortem needs.
 
 "Lock-light" is literal: ``deque.append`` with a ``maxlen`` is atomic

@@ -226,9 +226,7 @@ class DurablePHTree:
         self._manifest: Optional[Manifest] = None
         self._next_seq = 1
         self._recovery_info: Dict[str, int] = {}
-        self._live = ShardedPHTree(
-            dims, width, shards=shards, value_codec=codec, hc_mode=hc_mode
-        )
+        self._live = ShardedPHTree(dims, width, shards=shards, hc_mode=hc_mode)
         self._check_key = self._live._check_key
         self._z_of, self._un_z = z_functions(dims, width)
 
@@ -493,7 +491,6 @@ class DurablePHTree:
             self._dims,
             self._width,
             shards=self._n_shards,
-            value_codec=self._codec,
             hc_mode=self._hc_mode,
         )
         shard_of_z = live.router.shard_of_z
@@ -519,7 +516,6 @@ class DurablePHTree:
             locked = live._shards[shard]
             with locked.lock.write():
                 locked._tree = built
-                live._generations[shard] += 1
             total += len(items)
         self._live = live
         self._check_key = live._check_key
@@ -1045,7 +1041,6 @@ class DurablePHTree:
             for seg in self._segments:
                 seg.close()
             self._segments = []
-            self._live.close()
 
     def __enter__(self) -> "DurablePHTree":
         return self

@@ -109,36 +109,15 @@ def cmd_query(args: argparse.Namespace) -> int:
     box_min, box_max = _parse_box(args.box, index.dims)
     lo, hi = encode_point(box_min), encode_point(box_max)
     if args.learned:
-        if args.shards > 1 or args.workers > 0:
+        if args.shards > 1:
             print(
                 "error: --learned serves from one frozen snapshot; "
-                "drop --shards/--workers",
+                "drop --shards",
                 file=sys.stderr,
             )
             return 2
         return _query_learned(args, index, lo, hi)
-    if args.explain and (args.shards > 1 or args.workers > 0):
-        # Request-scoped span waterfall across the shard fan-out:
-        # router -> per-shard lock wait -> scan (worker attach/scan
-        # when a process pool is used) -> merge.
-        from repro.core.serialize import U64ValueCodec
-        from repro.obs import span as span_mod
-        from repro.parallel import ShardedPHTree
-
-        with ShardedPHTree.build(
-            list(index.tree.items()),
-            dims=index.dims,
-            width=64,
-            shards=max(args.shards, 1),
-            workers=args.workers,
-            value_codec=U64ValueCodec,
-        ) as sharded:
-            with span_mod.start_trace() as trace:
-                results = sharded.query(lo, hi)
-        print(trace.render())
-        print(f"{len(results)} point(s) in box", file=sys.stderr)
-        return 0
-    if args.explain:
+    if args.explain and args.shards <= 1:
         # Per-node trace of the single-tree window traversal: the
         # trace explains the kernel's decisions, which are per-tree.
         from repro import obs
@@ -149,21 +128,27 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{len(trace.results)} point(s) in box", file=sys.stderr
         )
         return 0
-    if args.shards > 1 or args.workers > 0:
-        # Fan the window out over a z-sharded copy of the index; row
-        # numbers are u64, so the snapshot codec round-trips them.
-        from repro.core.serialize import U64ValueCodec
+    if args.shards > 1:
+        # Fan the window out over a z-sharded copy of the index.
         from repro.parallel import ShardedPHTree
 
-        with ShardedPHTree.build(
+        sharded = ShardedPHTree.build(
             list(index.tree.items()),
             dims=index.dims,
             width=64,
-            shards=max(args.shards, 1),
-            workers=args.workers,
-            value_codec=U64ValueCodec,
-        ) as sharded:
-            results = sharded.query(lo, hi)
+            shards=args.shards,
+        )
+        if args.explain:
+            # Request-scoped span waterfall across the shard fan-out:
+            # router -> per-shard lock wait -> scan.
+            from repro.obs import span as span_mod
+
+            with span_mod.start_trace() as trace:
+                results = sharded.query(lo, hi)
+            print(trace.render())
+            print(f"{len(results)} point(s) in box", file=sys.stderr)
+            return 0
+        results = sharded.query(lo, hi)
     else:
         results = list(index.tree.query(lo, hi))
     header = ",".join(index.columns) + ",row"
@@ -324,11 +309,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Drive a demonstration workload with instrumentation enabled and
     print the resulting registry (Prometheus text or JSON).
 
-    With ``--shards``/``--workers`` the workload runs against a
-    z-sharded copy of the index -- writes, point reads, window + kNN
-    fan-outs and a snapshot refresh -- so the per-shard op counts,
-    lock-wait times, republish and stale-invalidation counters all
-    move.  Without them it exercises the single-tree read paths.
+    With ``--shards`` the workload runs against a z-sharded copy of the
+    index -- writes, point reads, window and kNN fan-outs -- so the
+    per-shard op counts and lock-wait times move.  Without it the
+    workload exercises the single-tree read paths.
     """
     from repro import obs
 
@@ -344,33 +328,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     obs.reset_all()
     obs.enable()
     try:
-        if args.shards > 1 or args.workers > 0:
-            from repro.core.serialize import U64ValueCodec
+        if args.shards > 1:
             from repro.parallel import ShardedPHTree
 
-            _log.info(
-                "driving sharded workload (%d shards, %d workers)",
-                args.shards,
-                args.workers,
-            )
-            with ShardedPHTree.build(
+            _log.info("driving sharded workload (%d shards)", args.shards)
+            sharded = ShardedPHTree.build(
                 list(index.tree.items()),
                 dims=dims,
                 width=64,
-                shards=max(args.shards, 1),
-                workers=args.workers,
-                value_codec=U64ValueCodec,
-            ) as sharded:
-                sharded.query(domain_lo, domain_hi)  # publishes snapshots
-                for key in sample:
-                    sharded.put(key, sharded.get(key))  # bump generations
-                sharded.refresh_snapshots()  # republish + invalidate
-                sharded.get_many(sample)
-                sharded.query_many(
-                    [(domain_lo, domain_hi), (domain_lo, domain_lo)]
-                )
-                if sample:
-                    sharded.knn(sample[0], min(4, len(sharded)))
+                shards=args.shards,
+            )
+            sharded.query(domain_lo, domain_hi)
+            for key in sample:
+                sharded.put(key, sharded.get(key))
+            sharded.get_many(sample)
+            sharded.query_many(
+                [(domain_lo, domain_hi), (domain_lo, domain_lo)]
+            )
+            if sample:
+                sharded.knn(sample[0], min(4, len(sharded)))
         else:
             _log.info("driving single-tree workload")
             tree = index.tree
@@ -605,8 +581,8 @@ def _store_ingest(
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the correctness harness: validate a saved index, fuzz the
     engines against the reference model, and/or drill the parallel
-    layer's fault handling.  Returns 0 only if every requested stage
-    passes."""
+    layer's and the store's fault handling.  Returns 0 only if every
+    requested stage passes."""
     from repro.check import FuzzConfig, FuzzFailure, run_fuzz, validate_tree
 
     ran_anything = False
@@ -746,13 +722,6 @@ def _parser() -> argparse.ArgumentParser:
         "(power of two; default: %(default)s, serial)",
     )
     query.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for the sharded fan-out (0 = stay "
-        "in-process; default: %(default)s)",
-    )
-    query.add_argument(
         "--explain",
         action="store_true",
         help="print a per-node trace of the window traversal instead "
@@ -812,13 +781,6 @@ def _parser() -> argparse.ArgumentParser:
         default=1,
         help="drive the workload through this many z-order shards "
         "(power of two; default: %(default)s, single tree)",
-    )
-    metrics.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for the sharded workload (0 = live "
-        "reads; default: %(default)s)",
     )
     metrics.add_argument(
         "--format",

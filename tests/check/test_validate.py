@@ -141,10 +141,8 @@ def test_accepts_sharded_tree():
         (tuple(rng.randrange(1 << 16) for _ in range(2)), i)
         for i in range(300)
     ]
-    with ShardedPHTree.build(
-        items, dims=2, width=16, shards=4, workers=0
-    ) as sharded:
-        report = validate_tree(sharded)
+    sharded = ShardedPHTree.build(items, dims=2, width=16, shards=4)
+    report = validate_tree(sharded)
     assert report.engine == "ShardedPHTree"
     assert report.entries == len(dict(items))
     assert len(report.sub_reports) == 4

@@ -457,27 +457,23 @@ class TestShardedStress:
         assert list(tree.items()) == list(reference.items())
 
     def test_snapshot_vs_live_consistency_under_writes(self):
-        """Alternate write bursts with snapshot-engine reads: after
-        every burst the fan-out result must equal both the live sharded
-        read and the unsharded oracle."""
+        """Alternate write bursts with full-domain reads: after every
+        burst the sharded read must equal the unsharded oracle."""
         dims, width = 3, 8
         rng = random.Random(13)
         oracle = PHTree(dims=dims, width=width)
-        with ShardedPHTree(
-            dims=dims, width=width, shards=4, workers=1
-        ) as tree:
-            lo = (0,) * dims
-            hi = ((1 << width) - 1,) * dims
-            for _ in range(5):
-                for _ in range(60):
-                    key = tuple(
-                        rng.randrange(1 << width) for _ in range(dims)
-                    )
-                    if rng.random() < 0.8:
-                        tree.put(key, None)
-                        oracle.put(key, None)
-                    elif key in oracle:
-                        tree.remove(key)
-                        oracle.remove(key)
-                snapshot_read = tree.query(lo, hi)  # process pool
-                assert snapshot_read == list(oracle.query(lo, hi))
+        tree = ShardedPHTree(dims=dims, width=width, shards=4)
+        lo = (0,) * dims
+        hi = ((1 << width) - 1,) * dims
+        for _ in range(5):
+            for _ in range(60):
+                key = tuple(
+                    rng.randrange(1 << width) for _ in range(dims)
+                )
+                if rng.random() < 0.8:
+                    tree.put(key, None)
+                    oracle.put(key, None)
+                elif key in oracle:
+                    tree.remove(key)
+                    oracle.remove(key)
+            assert tree.query(lo, hi) == list(oracle.query(lo, hi))

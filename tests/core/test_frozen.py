@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import random
 
 import pytest
@@ -179,6 +180,58 @@ class TestMemoryClaim:
             )
         data = freeze(tree)
         assert len(data) < len(tree) * 3 * 8
+
+
+class TestFrozenBufferAttach:
+    """FrozenPHTree over any buffer, zero-copy."""
+
+    def _tree(self):
+        tree = PHTree(dims=2, width=8)
+        for key in [(1, 2), (3, 4), (200, 100), (255, 0)]:
+            tree.put(key, None)
+        return tree
+
+    def test_memoryview_and_bytearray_match_bytes(self):
+        blob = freeze(self._tree())
+        reference = FrozenPHTree(blob)
+        for buffer in (memoryview(blob), bytearray(blob)):
+            frozen = FrozenPHTree(buffer)
+            assert list(frozen.items()) == list(reference.items())
+            assert frozen.nbytes == reference.nbytes == len(blob)
+
+    def test_padded_buffer_reports_exact_nbytes(self):
+        """A buffer larger than the stream still reports the exact
+        frozen length in nbytes and memory_bytes."""
+        blob = freeze(self._tree())
+        padded = memoryview(blob + b"\x00" * 512)
+        frozen = FrozenPHTree(padded)
+        assert frozen.nbytes == len(blob)
+        assert frozen.memory_bytes() == len(blob)
+        assert len(frozen) == 4
+
+    def test_mmap_attach_is_queryable(self, tmp_path):
+        """The store's segment buffer: a read-only map of the file."""
+        path = tmp_path / "seg-00000001.phs"
+        path.write_bytes(freeze(self._tree()))
+        with open(path, "rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        try:
+            frozen = FrozenPHTree(mapped)
+            assert frozen.contains((200, 100))
+            assert sorted(frozen.keys()) == [
+                (1, 2),
+                (3, 4),
+                (200, 100),
+                (255, 0),
+            ]
+            del frozen  # release the view before closing the mapping
+        finally:
+            mapped.close()
+
+    def test_truncated_buffer_rejected(self):
+        blob = freeze(self._tree())
+        with pytest.raises(ValueError):
+            FrozenPHTree(memoryview(blob[: len(blob) - 2]))
 
 
 def freeze_of_same(frozen: FrozenPHTree) -> bytes:

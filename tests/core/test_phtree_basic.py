@@ -121,6 +121,27 @@ class TestValidation:
         assert tree.get([1, 2]) == "v"
         assert tree.get((1, 2)) == "v"
 
+    @pytest.mark.parametrize("bad", [(1.0, 2, 3), (1, 2, 300)],
+                             ids=["float", "out-of-range"])
+    @pytest.mark.parametrize("spelling", [tuple, list, iter])
+    @pytest.mark.parametrize(
+        "method", ["get", "contains", "put", "remove", "knn"]
+    )
+    @pytest.mark.parametrize("layout", ["arena", "object"])
+    def test_bad_key_error_ignores_spelling(
+        self, layout, method, spelling, bad
+    ):
+        """A list or an iterator of bad coordinates raises the tuple
+        key's exception and message, naming the bad coordinate."""
+        tree = PHTree(dims=3, width=8, layout=layout)
+        op = getattr(tree, method)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            op(bad)
+        with pytest.raises(expected.type) as raised:
+            op(spelling(bad))
+        assert str(raised.value) == str(expected.value)
+        assert str(expected.value).startswith("coordinate ")
+
 
 class TestRemove:
     def test_remove_returns_value(self):

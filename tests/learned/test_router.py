@@ -186,42 +186,42 @@ class TestShardedIntegration:
         reference = PHTree(dims=dims, width=width)
         for key, value in entries:
             reference.put(key, value)
-        with ShardedPHTree.build(
+        sharded = ShardedPHTree.build(
             entries, dims=dims, width=width, shards=4, router="learned"
-        ) as sharded:
-            assert isinstance(sharded.router, LearnedZRouter)
-            for key, value in entries:
-                assert sharded.get(key) == value
-            top = (1 << width) - 1
-            assert list(sharded.query((0, 0), (top, top))) == list(
-                reference.query((0, 0), (top, top))
-            )
-            rng = random.Random(31)
-            for _ in range(20):
-                probe = (rng.randrange(top), rng.randrange(top))
-                assert sharded.knn(probe, 5) == reference.knn(probe, 5)
-            sharded.check_invariants()
+        )
+        assert isinstance(sharded.router, LearnedZRouter)
+        for key, value in entries:
+            assert sharded.get(key) == value
+        top = (1 << width) - 1
+        assert list(sharded.query((0, 0), (top, top))) == list(
+            reference.query((0, 0), (top, top))
+        )
+        rng = random.Random(31)
+        for _ in range(20):
+            probe = (rng.randrange(top), rng.randrange(top))
+            assert sharded.knn(probe, 5) == reference.knn(probe, 5)
+        sharded.check_invariants()
 
     def test_learned_build_balances_skew(self):
         dims, width = 3, 16
         entries = self._entries(2000, dims, width, seed=37)
-        with ShardedPHTree.build(
+        sharded = ShardedPHTree.build(
             entries, dims=dims, width=width, shards=8, router="learned"
-        ) as sharded:
-            sizes = sharded.shard_sizes()
-            assert max(sizes.values()) <= 1.5 * (len(entries) / 8)
+        )
+        sizes = sharded.shard_sizes()
+        assert max(sizes.values()) <= 1.5 * (len(entries) / 8)
 
     def test_relearn_router_rebalances_incremental_build(self):
         dims, width = 2, 16
         entries = self._entries(1200, dims, width, seed=41)
-        with ShardedPHTree(dims=dims, width=width, shards=8) as sharded:
-            for key, value in entries:
-                sharded.put(key, value)
-            before = max(sharded.shard_sizes().values())
-            assert before == len(entries)  # prefix worst case
-            sharded.relearn_router()
-            after = max(sharded.shard_sizes().values())
-            assert after <= 1.5 * (len(entries) / 8)
-            for key, value in entries:
-                assert sharded.get(key) == value
-            sharded.check_invariants()
+        sharded = ShardedPHTree(dims=dims, width=width, shards=8)
+        for key, value in entries:
+            sharded.put(key, value)
+        before = max(sharded.shard_sizes().values())
+        assert before == len(entries)  # prefix worst case
+        sharded.relearn_router()
+        after = max(sharded.shard_sizes().values())
+        assert after <= 1.5 * (len(entries) / 8)
+        for key, value in entries:
+            assert sharded.get(key) == value
+        sharded.check_invariants()

@@ -19,7 +19,7 @@ class TestGetLogger:
     def test_hierarchy(self):
         assert get_logger().name == "repro"
         assert get_logger("tool").name == "repro.tool"
-        child = get_logger("parallel.executor")
+        child = get_logger("parallel.sharded")
         assert child.parent.name in ("repro.parallel", "repro")
 
 

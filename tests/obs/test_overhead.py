@@ -138,16 +138,13 @@ def sharded_workload():
             for _ in range(4000)
         }.items()
     )
-    tree = ShardedPHTree.build(
-        items, dims=DIMS, width=WIDTH, shards=4, workers=0
-    )
+    tree = ShardedPHTree.build(items, dims=DIMS, width=WIDTH, shards=4)
     boxes = []
     for _ in range(20):
         lo = tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))
         hi = tuple(min(v + (1 << (WIDTH - 1)), DOMAIN) for v in lo)
         boxes.append((lo, hi))
-    yield tree, boxes
-    tree.close()
+    return tree, boxes
 
 
 def test_sharded_query_span_machinery_overhead_under_5_percent(

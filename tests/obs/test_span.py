@@ -1,5 +1,5 @@
-"""Request-scoped spans: context propagation, remote splicing, and the
-waterfall across the sharded fan-out."""
+"""Request-scoped spans: context propagation and the waterfall across
+the sharded fan-out."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import threading
 
 import pytest
 
-from repro import PHTree
 from repro.obs.span import (
     Span,
     Trace,
@@ -55,15 +54,14 @@ class TestTrace:
         assert span.labels == {"shard": 3}
         assert span.end >= span.start
 
-    def test_add_and_add_remote(self):
+    def test_add_attaches_timed_spans(self):
         trace = Trace()
-        trace.add("local", 1.0, 2.0, shard=0)
-        trace.add_remote([("attach", 2.0, 2.5), ("scan", 2.5, 4.0)],
-                         shard=1)
+        trace.add("lock_wait", 1.0, 2.0, shard=0)
+        trace.add("scan", 2.5, 4.0, shard=1)
         names = [s.name for s in trace.spans]
-        assert names == ["local", "attach", "scan"]
-        assert all(s.labels.get("shard") == 1 for s in trace.spans[1:])
-        assert trace.spans[2].duration_s == pytest.approx(1.5)
+        assert names == ["lock_wait", "scan"]
+        assert [s.labels["shard"] for s in trace.spans] == [0, 1]
+        assert trace.spans[1].duration_s == pytest.approx(1.5)
 
     def test_negative_duration_clamped(self):
         assert Span("x", 2.0, 1.0).duration_s == 0.0
@@ -106,10 +104,7 @@ class TestShardedSpans:
             for x in range(20)
             for y in range(20)
         ]
-        with ShardedPHTree.build(
-            items, dims=2, width=16, shards=4, workers=0
-        ) as tree:
-            yield tree
+        return ShardedPHTree.build(items, dims=2, width=16, shards=4)
 
     def test_query_records_route_lock_scan(self, sharded):
         with start_trace() as trace:
@@ -157,47 +152,3 @@ class TestShardedSpans:
         with start_trace():
             traced = sharded.query((0, 0), (65535, 65535))
         assert traced == plain
-
-
-class TestWorkerSpans:
-    def test_remote_spans_ship_back_from_the_pool(self):
-        items = [
-            ((x * 4000, y * 4000), None)
-            for x in range(16)
-            for y in range(16)
-        ]
-        with ShardedPHTree.build(
-            items, dims=2, width=16, shards=2, workers=1
-        ) as tree:
-            with start_trace() as trace:
-                results = tree.query((0, 0), (65535, 65535))
-            assert len(results) == 256
-            names = [s.name for s in trace.spans]
-            assert "refresh" in names
-            assert "fanout" in names
-            # Worker-side spans spliced onto the parent timeline.
-            assert names.count("attach") == 2
-            assert names.count("scan") == 2
-            for span in trace.spans:
-                if span.name in ("attach", "scan"):
-                    assert "shard" in span.labels
-                    assert span.start >= trace.t0 - 1e-3
-
-    def test_pool_knn_records_merge(self):
-        items = [
-            ((x * 4000, y * 4000), None)
-            for x in range(16)
-            for y in range(16)
-        ]
-        oracle = PHTree(dims=2, width=16)
-        for key, value in items:
-            oracle.put(key, value)
-        with ShardedPHTree.build(
-            items, dims=2, width=16, shards=2, workers=1
-        ) as tree:
-            with start_trace() as trace:
-                results = tree.knn((30000, 30000), 5)
-            assert results == oracle.knn((30000, 30000), 5)
-            names = [s.name for s in trace.spans]
-            assert "fanout" in names
-            assert names.count("merge") == 1

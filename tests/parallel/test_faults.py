@@ -1,59 +1,19 @@
-"""Fault injection for the parallel layer: every injected fault class
-must leave reads correct (or raise a clean typed error) and move its
-observability counter."""
+"""Fault injection for the parallel layer and the drill driver: a
+camped shard lock makes a bounded wait fail with a clean typed error
+and move its observability counter, and every drill kind passes with a
+flight-recorder tail."""
 
 from __future__ import annotations
 
-import random
 import threading
 
 import pytest
 
 from repro import obs
-from repro.check.faults import (
-    kill_one_worker,
-    publish_failures,
-    run_fault_drill,
-    slow_reader,
-    unlink_failures,
-)
+from repro.check.faults import run_fault_drill, slow_reader
 from repro.core.concurrent import LockTimeout, ReadWriteLock
 from repro.obs import probes
-from repro.parallel import (
-    ParallelError,
-    ShardedPHTree,
-    SnapshotPublishError,
-    SnapshotReadError,
-)
-
-DIMS, WIDTH = 2, 16
-DOMAIN_LO = (0,) * DIMS
-DOMAIN_HI = ((1 << WIDTH) - 1,) * DIMS
-
-
-def _items(n=200, seed=31):
-    rng = random.Random(seed)
-    seen = {}
-    for i in range(n):
-        seen[tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))] = i
-    return list(seen.items())
-
-
-@pytest.fixture
-def pooled_tree():
-    items = _items()
-    from repro.core.serialize import U64ValueCodec
-
-    with ShardedPHTree.build(
-        items,
-        dims=DIMS,
-        width=WIDTH,
-        shards=4,
-        workers=2,
-        value_codec=U64ValueCodec,
-    ) as tree:
-        yield tree, dict(items)
-
+from repro.parallel import ShardedPHTree
 
 @pytest.fixture
 def metrics():
@@ -64,76 +24,8 @@ def metrics():
     obs.reset()
 
 
-def test_publish_failure_degrades_to_live(pooled_tree, metrics):
-    tree, reference = pooled_tree
-    before = metrics.snapshot_publish_failures.value
-    with publish_failures(count=1):
-        result = tree.query(DOMAIN_LO, DOMAIN_HI)
-    assert dict(result) == reference
-    assert metrics.snapshot_publish_failures.value == before + 1
-
-
-def test_publish_failure_is_typed(pooled_tree, metrics):
-    tree, _ = pooled_tree
-    pool = tree._snapshot_pool()
-    with publish_failures(count=1):
-        with pytest.raises(SnapshotPublishError) as excinfo:
-            pool.refresh()
-    # The typed error is a ParallelError: the owning tree's catch-all.
-    assert isinstance(excinfo.value, ParallelError)
-
-
-def test_publish_recovers_after_fault_window(pooled_tree, metrics):
-    tree, reference = pooled_tree
-    with publish_failures(count=1):
-        tree.query(DOMAIN_LO, DOMAIN_HI)  # consumes the fault
-    # Out of the window: publication and fan-out work again.
-    assert dict(tree.query(DOMAIN_LO, DOMAIN_HI)) == reference
-    assert tree._snapshot_pool().snapshot_bytes() > 0
-
-
-def test_worker_death_falls_back_then_recovers(pooled_tree, metrics):
-    tree, reference = pooled_tree
-    assert dict(tree.query(DOMAIN_LO, DOMAIN_HI)) == reference  # warm up
-    pool = tree._snapshot_pool()
-    before = metrics.fanout_failures.labels("query").value
-    kill_one_worker(pool)
-    assert dict(tree.query(DOMAIN_LO, DOMAIN_HI)) == reference
-    assert metrics.fanout_failures.labels("query").value == before + 1
-    # The broken executor was recycled: the next fan-out succeeds on a
-    # fresh pool without touching the failure counter again.
-    assert dict(tree.query(DOMAIN_LO, DOMAIN_HI)) == reference
-    assert metrics.fanout_failures.labels("query").value == before + 1
-
-
-def test_worker_death_raises_typed_error_at_pool_level(
-    pooled_tree, metrics
-):
-    tree, _ = pooled_tree
-    tree.query(DOMAIN_LO, DOMAIN_HI)  # publish + start workers
-    pool = tree._snapshot_pool()
-    kill_one_worker(pool)
-    with pytest.raises(SnapshotReadError):
-        pool.query(DOMAIN_LO, DOMAIN_HI, range(tree.n_shards))
-
-
-def test_unlink_failure_is_survived_and_counted(pooled_tree, metrics):
-    tree, reference = pooled_tree
-    tree.query(DOMAIN_LO, DOMAIN_HI)  # publish generation 1
-    key = next(iter(reference))
-    tree.put(key, reference[key])  # bump one shard's generation
-    pool = tree._snapshot_pool()
-    before = metrics.snapshot_discard_errors.value
-    with unlink_failures(pool, count=1) as state:
-        republished = pool.refresh()
-    assert republished == 1
-    assert state["remaining"] == 0
-    assert metrics.snapshot_discard_errors.value == before + 1
-    assert dict(tree.query(DOMAIN_LO, DOMAIN_HI)) == reference
-
-
-def test_slow_reader_blocks_writer_with_timeout(pooled_tree, metrics):
-    tree, _ = pooled_tree
+def test_slow_reader_blocks_writer_with_timeout(metrics):
+    tree = ShardedPHTree(dims=2, width=16, shards=4)
     before = metrics.lock_timeouts.labels("write").value
     with slow_reader(tree, shard=0):
         with pytest.raises(LockTimeout):
@@ -205,9 +97,6 @@ def test_write_timeout_does_not_wedge_queued_readers():
 def test_fault_drill_all_pass():
     outcomes = run_fault_drill(entries=128)
     assert [o.fault for o in outcomes] == [
-        "publish-failure",
-        "worker-death",
-        "unlink-failure",
         "lock-timeout",
         "disk-flush-kill",
         "disk-compact-kill",
@@ -258,24 +147,24 @@ def test_disk_kill_drill_recovers_to_oracle():
 
 def test_fault_drill_outcomes_carry_recorder_dumps():
     """Every drill scenario ships a flight-recorder tail, and the
-    killed-worker scenario's dump includes the injected fault."""
+    lock-timeout scenario's dump includes the injected slow reader."""
     from repro.obs import recorder as recorder_mod
 
     recorder_mod.clear()
     outcomes = {o.fault: o for o in run_fault_drill(entries=128)}
     for outcome in outcomes.values():
         assert outcome.events, outcome.fault
-    killed = outcomes["worker-death"].events
+    camped = outcomes["lock-timeout"].events
     faults = [
         event
-        for event in killed
+        for event in camped
         if event[2] == "fault_injected"
-        and event[3].get("fault") == "worker_killed"
+        and event[3].get("fault") == "slow_reader"
     ]
-    assert faults, [event[2] for event in killed]
-    assert "pid" in faults[-1][3]
+    assert faults, [event[2] for event in camped]
+    assert faults[-1][3]["shard"] == 0
     # The rendered dump names the fault for the operator.
-    assert "worker_killed" in recorder_mod.render_events(killed)
+    assert "slow_reader" in recorder_mod.render_events(camped)
     # Disk drills carry their own black box: the torn-WAL outcome's
     # tail names both corruption injections.
     torn_faults = {

@@ -138,16 +138,6 @@ class TestShardTopology:
         tree.check_invariants()  # includes the routing invariant
         assert sum(tree.shard_sizes().values()) == len(tree)
 
-    def test_generation_counter_tracks_writes(self):
-        tree = ShardedPHTree(dims=2, width=8, shards=4)
-        before = tree.generations
-        tree.put((0, 0), None)  # shard 0
-        tree.put((255, 255), None)  # shard 3
-        after = tree.generations
-        assert after[0] == before[0] + 1
-        assert after[3] == before[3] + 1
-        assert after[1] == before[1] and after[2] == before[2]
-
     def test_invalid_keys_raise_like_phtree(self):
         tree = ShardedPHTree(dims=2, width=8, shards=4)
         for bad in [(1,), (1, 2, 3), (-1, 0), (256, 0)]:

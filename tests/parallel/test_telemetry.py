@@ -1,7 +1,6 @@
-"""Shard/pool telemetry: per-shard op counts, snapshot lifecycle
-counters, and the discard-error log-and-continue regression."""
+"""Shard telemetry: per-shard op counts, lock-wait histograms, and the
+arena freeze fast path."""
 
-import logging
 import random
 
 import pytest
@@ -86,125 +85,34 @@ class TestShardOpCounts:
         assert _shard_op_counts() == {}
 
 
-class TestSnapshotPoolTelemetry:
-    def test_republish_stale_and_fanout_counters(self, obs_enabled):
-        keys = _keys(150, seed=73)
-        with ShardedPHTree.build(
-            [(key, None) for key in keys],
-            dims=DIMS,
-            width=WIDTH,
-            shards=4,
-            workers=2,
-        ) as tree:
-            # First fan-out publishes every shard snapshot.
-            results = tree.query((0, 0), (DOMAIN, DOMAIN))
-            assert len(results) == len(keys)
-            assert probes.snapshot_republish.value == 4
-            assert probes.snapshot_stale_invalidations.value == 0
-            assert probes.snapshot_bytes.value > 0
-            assert probes.fanout_tasks.labels("query").value == 4
-            assert probes.fanout_latency.labels("query").count == 1
-            # A write moves one shard's generation: exactly one
-            # snapshot is stale and gets republished on refresh.
-            tree.put(keys[0], None)
-            assert tree.refresh_snapshots() == 1
-            assert probes.snapshot_republish.value == 5
-            assert probes.snapshot_stale_invalidations.value == 1
-            # kNN and query_many fan-outs count their tasks too.
-            tree.knn(keys[0], 2)
-            assert probes.fanout_tasks.labels("knn").value == 4
-            tree.query_many([((0, 0), (DOMAIN, DOMAIN))])
-            assert probes.fanout_tasks.labels("query_many").value == 4
-            # With workers, per-shard op counts come from the parent
-            # side of the fan-out.
-            counts = _shard_op_counts()
-            for shard in range(4):
-                assert counts.get((shard, "query"), 0) >= 1
-                assert counts.get((shard, "knn"), 0) >= 1
-
-
 class TestArenaRepublishFastPath:
     def test_arena_shards_freeze_straight_from_slabs(
         self, obs_enabled, monkeypatch
     ):
-        """With arena-backed shards, every snapshot (re)publication
-        must take freeze()'s slab fast path (no per-node object
-        materialisation) -- the probe counts one tick per publish."""
+        """With arena-backed shards, every shard freeze must take
+        freeze()'s slab fast path (no per-node object materialisation)
+        -- the probe counts one tick per arena shard."""
         monkeypatch.setenv("REPRO_PHTREE_LAYOUT", "arena")
         keys = _keys(120, seed=91)
-        with ShardedPHTree(
-            dims=DIMS, width=WIDTH, shards=4, workers=1
-        ) as tree:
-            for key in keys:
-                tree.put(key, None)
-            assert tree._shards[0].unsafe_tree.layout == "arena"
-            assert probes.freeze_arena_fast.value == 0
-            # First fan-out publishes all four shard snapshots.
-            results = tree.query((0, 0), (DOMAIN, DOMAIN))
-            assert len(results) == len(keys)
-            assert probes.freeze_arena_fast.value == 4
-            # One write dirties one shard; its republish is again a
-            # slab walk.
-            tree.put(keys[0], None)
-            assert tree.refresh_snapshots() == 1
-            assert probes.freeze_arena_fast.value == 5
+        tree = ShardedPHTree(dims=DIMS, width=WIDTH, shards=4)
+        for key in keys:
+            tree.put(key, None)
+        assert tree._shards[0].unsafe_tree.layout == "arena"
+        assert probes.freeze_arena_fast.value == 0
+        blobs = tree.freeze_shards()
+        assert len(blobs) == 4
+        assert probes.freeze_arena_fast.value == 4
+        # After a write, every shard still freezes from its slabs.
+        tree.put(keys[0], None)
+        tree.freeze_shards()
+        assert probes.freeze_arena_fast.value == 8
 
     def test_object_shards_never_tick_the_fast_path(self, obs_enabled):
         keys = _keys(60, seed=92)
-        with ShardedPHTree.build(
-            [(key, None) for key in keys],
-            dims=DIMS,
-            width=WIDTH,
-            shards=2,
-            workers=1,
-        ) as tree:
-            if tree._shards[0].unsafe_tree.layout != "object":
-                pytest.skip("suite running with arena as session layout")
-            tree.query((0, 0), (DOMAIN, DOMAIN))
-            assert probes.snapshot_republish.value == 2
-            assert probes.freeze_arena_fast.value == 0
-
-
-class TestDiscardErrors:
-    def test_unlink_failure_logs_counts_and_continues(
-        self, obs_enabled, caplog
-    ):
-        """Regression: a raced/failed segment unlink must not propagate
-        out of snapshot maintenance -- it is logged, counted, and the
-        refresh completes with the pool still serving queries."""
-        keys = _keys(60, seed=83)
-        with ShardedPHTree.build(
-            [(key, None) for key in keys],
-            dims=DIMS,
-            width=WIDTH,
-            shards=2,
-            workers=1,
-        ) as tree:
-            tree.query((0, 0), (DOMAIN, DOMAIN))
-            pool = tree._pool
-            victims = list(pool._snapshots)
-            originals = []
-            for snapshot in victims:
-                originals.append(snapshot.segment.unlink)
-                snapshot.segment.unlink = lambda: (
-                    _ for _ in ()
-                ).throw(OSError("simulated unlink race"))
-            for key in keys:
-                tree.put(key, None)  # touch both shards
-            with caplog.at_level(
-                logging.WARNING, logger="repro.parallel.executor"
-            ):
-                republished = tree.refresh_snapshots()
-            assert republished == 2
-            assert probes.snapshot_discard_errors.value == 2
-            warnings = [
-                record
-                for record in caplog.records
-                if "failed to discard snapshot segment"
-                in record.getMessage()
-            ]
-            assert len(warnings) == 2
-            assert len(tree.query((0, 0), (DOMAIN, DOMAIN))) == len(keys)
-            for snapshot, unlink in zip(victims, originals):
-                snapshot.segment.unlink = unlink
-                unlink()
+        tree = ShardedPHTree.build(
+            [(key, None) for key in keys], dims=DIMS, width=WIDTH, shards=2
+        )
+        if tree._shards[0].unsafe_tree.layout != "object":
+            pytest.skip("suite running with arena as session layout")
+        tree.freeze_shards()
+        assert probes.freeze_arena_fast.value == 0

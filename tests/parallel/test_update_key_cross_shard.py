@@ -57,7 +57,6 @@ def test_update_key_crosses_shards_lockstep_oracle():
     assert crossings > 50
     assert list(sharded.items()) == list(oracle.items())
     validate_tree(sharded)
-    sharded.close()
 
 
 def test_update_key_cross_shard_under_concurrent_readers():
@@ -142,4 +141,3 @@ def test_update_key_cross_shard_under_concurrent_readers():
     assert list(sharded.items()) == list(oracle.items())
     assert len(sharded) == len(keys)
     validate_tree(sharded)
-    sharded.close()

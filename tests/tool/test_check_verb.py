@@ -100,10 +100,10 @@ def test_check_faults(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     for fault in (
-        "publish-failure",
-        "worker-death",
-        "unlink-failure",
         "lock-timeout",
+        "disk-flush-kill",
+        "disk-compact-kill",
+        "disk-torn-wal",
     ):
         assert f"PASS {fault}" in captured.out
 

@@ -132,13 +132,6 @@ class TestShardedQuery:
         sharded = self._run(index_file, capsys, "--shards", "4")
         assert sharded == serial
 
-    def test_worker_fanout_matches_serial(self, index_file, capsys):
-        serial = self._run(index_file, capsys)
-        fanned = self._run(
-            index_file, capsys, "--shards", "2", "--workers", "1"
-        )
-        assert fanned == serial
-
     def test_bad_shard_count(self, index_file, capsys):
         rc = main(
             ["query", str(index_file), *self.BOX, "--shards", "6"]
@@ -290,23 +283,13 @@ class TestMetrics:
     def test_sharded_workload_moves_shard_counters(
         self, index_file, capsys
     ):
-        rc = main(
-            [
-                "metrics",
-                str(index_file),
-                "--shards",
-                "4",
-                "--workers",
-                "1",
-            ]
-        )
+        rc = main(["metrics", str(index_file), "--shards", "4"])
         captured = capsys.readouterr()
         assert rc == 0
         text = captured.out
         assert 'repro_shard_ops_total{shard="0", op="query"}' in text
-        assert "repro_snapshot_republish_total" in text
-        assert "repro_snapshot_stale_invalidations_total" in text
-        assert 'repro_fanout_tasks_total{op="query"}' in text
+        assert 'op="put"}' in text
+        assert 'repro_shard_lock_wait_seconds_count{mode="write"}' in text
 
 
 class TestVerbosity:
@@ -472,9 +455,9 @@ class TestExplainWaterfall:
         assert "scan" in captured.out
         assert "301 point(s) in box" in captured.err
 
-    def test_worker_explain_includes_remote_spans(
-        self, index_file, capsys
-    ):
+    def test_explain_spans_each_touched_shard(self, index_file, capsys):
+        """The box straddles x = 0, the top z-bit, so with two shards
+        both are routed to, and each gets its own scan span."""
         rc = main(
             [
                 "query",
@@ -483,16 +466,14 @@ class TestExplainWaterfall:
                 "-10,40 : 10,50",
                 "--shards",
                 "2",
-                "--workers",
-                "1",
                 "--explain",
             ]
         )
         captured = capsys.readouterr()
         assert rc == 0
-        assert "span waterfall" in captured.out
-        assert "fanout" in captured.out
-        assert "attach" in captured.out
+        assert "route" in captured.out
+        assert "scan shard=0" in captured.out
+        assert "scan shard=1" in captured.out
 
     def test_serial_explain_keeps_node_trace(self, index_file, capsys):
         rc = main(
